@@ -90,6 +90,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tmwitness",
@@ -125,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--from", dest="k_min", type=_positive, required=True)
     cmd.add_argument("--to", dest="k_max", type=_positive, required=True)
     cmd.add_argument("--csv", dest="csv_path", help="write CSV to this path instead of JSON lines")
-    cmd.add_argument("--jobs", type=_positive, default=os.cpu_count() or 1)
+    cmd.add_argument("--jobs", type=_positive, default=_usable_cpus())
 
     cmd = sub.add_parser("weights", help="sparse-multiplier sweep over k = 3*2^r + 3")
     cmd.add_argument("--r-from", dest="exponent_min", type=int, required=True)

@@ -11,11 +11,13 @@ import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 from typing import Sequence
 
 from . import oracle
 from .digitcore import TheoremViolationError
-from .witness import CaseLabel, certify
+from .witness import CaseLabel, certify, reduce_to_odd
 
 _log = logging.getLogger(__name__)
 
@@ -181,17 +183,86 @@ def scan_weight_family(exponent_min: int, exponent_max: int, bit_limit: int) -> 
     return records
 
 
+_BLOCK_LOG = 16  # on freq_grid, blocks of 2^14..2^17 time about the same and 2^18 is slower
+
+
+def _add_to_lanes(planes: list[int], start: int, bits: str, full: int) -> None:
+    """Add k*2^start to every lane, where bits holds k's binary digits, least significant first.
+
+    planes[j] holds bit j of every lane's value and full has one set bit per
+    lane. This is a ripple-carry adder run on all lanes at once; a carry out
+    of the top plane is dropped, so lanes count modulo 2^len(planes).
+    """
+    carry = 0
+    index = start
+    for bit in bits:
+        if index == len(planes):
+            return
+        plane = planes[index]
+        if bit == "1":
+            planes[index] = plane ^ carry ^ full
+            carry |= plane
+        else:
+            planes[index] = plane ^ carry
+            carry &= plane
+        index += 1
+    while carry and index < len(planes):
+        plane = planes[index]
+        planes[index] = plane ^ carry
+        carry &= plane
+        index += 1
+
+
+def _multiples(bits: str, lanes_log: int, width: int) -> list[int]:
+    """Bit planes of k*i for the lanes i < 2^lanes_log, built by doubling the lanes.
+
+    The upper half of the lanes is the lower half plus k*2^level.
+    """
+    planes = [0] * width
+    for level in range(lanes_log):
+        size = 1 << level
+        upper = planes.copy()
+        _add_to_lanes(upper, level, bits, (1 << size) - 1)
+        planes = [low | high << size for low, high in zip(planes, upper)]
+    return planes
+
+
 def frequency(k: int, sample_count: int) -> FrequencyRecord:
-    """Exact rational frequency of odd product weight over multipliers 1..sample_count."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    """Exact rational frequency of odd product weight over multipliers 1..sample_count.
+
+    The count is bit-sliced. The multipliers n = 0..sample_count go in blocks
+    of up to 2^16 consecutive lanes, and planes[j] is one int that holds bit j
+    of k*n for every lane of the block. The weight parity of each product is
+    then the XOR of the planes, so one bit_count counts a whole block, and the
+    next block is this one plus k*2^16, added in every lane at once; the
+    planes below that addend's lowest bit never change. k's factor of two is
+    dropped first, as s2(2m) = s2(m), and n = 0 has weight 0 and adds
+    nothing.
+
+    Invariant: there are width = (k*sample_count).bit_length() planes, so
+    k*n < 2^width for every n <= sample_count and no counted lane loses a
+    carry. Carries out of the top plane are lost only in lanes past
+    sample_count, which the last block masks off. Because each plane is its
+    own int, bits of one product never reach another's, so the width need
+    not be a power of two, as it would in a layout that set the products side
+    by side in fixed-width fields and folded each field to its parity.
+    """
+    odd, _ = reduce_to_odd(k)
     if sample_count < 1:
         raise ValueError("need at least one sample")
+    bits = format(odd, "b")[::-1]
+    lanes_log = min(_BLOCK_LOG, sample_count.bit_length())
+    planes = _multiples(bits, lanes_log, (odd * sample_count).bit_length())
+    fixed = reduce(xor, planes[:lanes_log], 0)
+    moving = planes[lanes_log:]
+    full = (1 << (1 << lanes_log)) - 1
+    blocks, rest = divmod(sample_count + 1, 1 << lanes_log)
     hits = 0
-    product = 0
-    for _ in range(sample_count):
-        product += k
-        hits += product.bit_count() & 1
+    for _ in range(blocks):
+        hits += reduce(xor, moving, fixed).bit_count()
+        _add_to_lanes(moving, 0, bits, full)
+    if rest:
+        hits += (reduce(xor, moving, fixed) & ((1 << rest) - 1)).bit_count()
     return FrequencyRecord(k, sample_count, Fraction(hits, sample_count))
 
 

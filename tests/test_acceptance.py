@@ -221,7 +221,7 @@ def test_criterion_09_hit_frequency_near_half():
     def bias(j):
         return Fraction(2, 3) * Fraction(3, 4) ** j
 
-    newman = {j: frequency(3, 4**j).ones_frequency == Fraction(1, 2) - bias(j) for j in range(2, 11)}
+    newman = {j: frequency(3, 4**j).ones_frequency == Fraction(1, 2) - bias(j) for j in range(2, 16)}
 
     ok = all(deviations[k] < Fraction(1, 100) for k in (1, 5, 7)) and all(newman.values())
     report(
@@ -232,7 +232,7 @@ def test_criterion_09_hit_frequency_near_half():
             f"k={k}: {float(value):.6f} (off by {float(deviations[k]):.6f})"
             for k, value in measured.items()
         )
-        + "; k=3 equals 1/2 - (2/3)(3/4)^j at N=4^j for j=2..10, within 1/100 first at j=15",
+        + "; k=3 equals 1/2 - (2/3)(3/4)^j at N=4^j for j=2..15, within 1/100 first at j=15",
     )
     for k in (1, 5, 7):
         assert deviations[k] < Fraction(1, 100), (

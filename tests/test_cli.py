@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import tmwitness
-from tmwitness.cli import parse_certificate, run, serialize_certificate
+from tmwitness.cli import _build_parser, parse_certificate, run, serialize_certificate
 from tmwitness.witness import certify
 
 
@@ -131,6 +131,17 @@ def test_scan_jobs_deterministic(capsys):
     one = invoke(capsys, "scan", "--from", "1", "--to", "60", "--jobs", "1")[1]
     four = invoke(capsys, "scan", "--from", "1", "--to", "60", "--jobs", "4")[1]
     assert one == four
+
+
+def test_scan_jobs_default_follows_cpu_affinity(monkeypatch):
+    argv = ["scan", "--from", "1", "--to", "2"]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _build_parser().parse_args(argv).jobs == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert _build_parser().parse_args(argv).jobs == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _build_parser().parse_args(argv).jobs == 1
 
 
 def test_scan_csv_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):

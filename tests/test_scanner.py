@@ -5,6 +5,7 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tmwitness.digitcore import TheoremViolationError, thue_morse
 from tmwitness.scanner import (
@@ -158,11 +159,29 @@ def test_frequency_exact_small():
     assert frequency(3, 1).ones_frequency == Fraction(0, 1)
 
 
+def _odd_weight_counts(k, count):
+    """counts[N] = #{n <= N : k*n has odd weight}, one multiplier at a time: the reference."""
+    counts = [0]
+    for n in range(1, count + 1):
+        counts.append(counts[-1] + thue_morse(k * n))
+    return counts
+
+
 def test_frequency_matches_pointwise_windows():
-    for k in (1, 3, 12, 51):
-        for count in (1, 7, 64, 500):
-            direct = sum(thue_morse(k * n) for n in range(1, count + 1))
-            assert frequency(k, count).ones_frequency == Fraction(direct, count)
+    # the counter works in blocks of 2^16 multipliers, n = 0 included, and
+    # sizes its blocks by count.bit_length(); these counts sit on both sides
+    # of each of those edges
+    counts = (1, 2, 3, 7, 63, 64, 65, 500, 1000, 4097, 2**16 - 2, 2**16 - 1, 2**16, 2**17 - 1, 2**17)
+    word = int("10" * 1024 + "1101" * 512, 2)  # 4096 bits, odd
+    for k in (1, 2, 3, 6, 12, 51, 4095, 2**60 + 1, 2**62 - 1, 2**100 + 1, word):
+        direct = _odd_weight_counts(k, max(counts))
+        for count in counts:
+            assert frequency(k, count).ones_frequency == Fraction(direct[count], count), (k, count)
+
+
+@given(st.integers(min_value=1, max_value=1 << 200), st.integers(min_value=1, max_value=5000))
+def test_frequency_matches_pointwise_random(k, count):
+    assert frequency(k, count).ones_frequency == Fraction(_odd_weight_counts(k, count)[count], count)
 
 
 def test_frequency_validation():
