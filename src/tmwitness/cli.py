@@ -30,8 +30,8 @@ def _decode_int(value) -> int:
     return int(value) if isinstance(value, str) else value
 
 
-def _dump(payload: Any) -> str:
-    return json.dumps(payload, separators=(",", ":"))
+# one compact encoder for every payload; json.dumps would build a new one per call
+_dump = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def serialize_certificate(certificate: witness.WitnessCertificate) -> str:

@@ -110,8 +110,6 @@ def _record_for(k: int) -> ScanRecord:
     zero = oracle.zero_min(k)
     if zero is None or zero > k + 2:
         flags.add("ZeroMinExceedsKplus2")
-    if certificate.fallback_used:
-        flags.add("CertificateFallbackUsed")
     return ScanRecord(
         k=k,
         f=least,

@@ -14,12 +14,9 @@ rather than trusted input.
 """
 
 import enum
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .digitcore import TheoremViolationError, run_decompose, thue_morse, to_word
-
-_log = logging.getLogger(__name__)
+from .digitcore import TheoremViolationError, thue_morse, to_word
 
 __all__ = [
     "CaseLabel",
@@ -73,9 +70,7 @@ class WitnessCertificate:
     candidates are ascending. triple_pivot is the middle multiplier m of a
     three-candidate guarantee and None when the single candidate is claimed
     outright. verified_hit is the least candidate whose product was checked
-    to have odd weight. fallback_used marks a hit found by bounded search
-    after every constructed candidate failed; it never fires on correct
-    classification and is excluded from equality.
+    to have odd weight.
     """
 
     k_input: int
@@ -86,7 +81,6 @@ class WitnessCertificate:
     candidates: tuple[int, ...]
     triple_pivot: int | None
     verified_hit: int
-    fallback_used: bool = field(default=False, compare=False)
 
 
 def reduce_to_odd(k: int) -> tuple[int, int]:
@@ -110,37 +104,50 @@ def classify(k_odd: int) -> tuple[CaseLabel, dict[str, int]]:
     tree, the zeros below the lead and the single bit just above the gap.
     Parameter names in the returned mapping match RunDecomposition's
     accessors plus "length" for the word width.
+
+    Each feature is read from the two ends of k with a constant number of
+    big-int operations; no binary string or run list is built. With w =
+    k.bit_length():
+
+    - all ones: k & (k + 1) == 0;
+    - tail_ones: k ^ (k + 1) is 2^(tail + 1) - 1;
+    - gap_zeros: the trailing zeros of k >> tail, from its lowest set bit;
+    - lead_ones: w minus the width of k ^ (2^w - 1), whose top lead bits are 0;
+    - lead_zeros: w - lead minus the width of the w - lead bits under the lead;
+    - exactly three runs: lead + gap + tail == w;
+    - mid_ones: the trailing ones of k >> (tail + gap);
+    - above_gap_bit: bit gap + tail + 1 of k;
+    - the prefixes 1101, 11000 and 11001: k >> (w - 4) and k >> (w - 5).
     """
     if k_odd < 1:
         raise ValueError("k must be positive")
     if k_odd % 2 == 0:
         raise ValueError("classification applies to odd integers; reduce first")
-    word = to_word(k_odd)
-    width = len(word)
-    decomposition = run_decompose(k_odd)
-    runs = decomposition.runs
+    width = k_odd.bit_length()
 
-    if len(runs) == 1:
+    if k_odd & (k_odd + 1) == 0:
         params = {"length": width}
-        if runs[0] % 2 == 1:
+        if width % 2 == 1:
             return CaseLabel.AllOnesOddLen, params
         return CaseLabel.AllOnesEvenLen, params
 
-    tail = decomposition.tail_ones
+    tail = (k_odd ^ (k_odd + 1)).bit_length() - 1
     if tail % 2 == 1:
         return CaseLabel.Lemma1, {"length": width, "tail_ones": tail}
 
-    lead = decomposition.lead_ones
-    gap = decomposition.gap_zeros
+    upper = k_odd >> tail
+    gap = (upper & -upper).bit_length() - 1
+    lead = width - (k_odd ^ ((1 << width) - 1)).bit_length()
     if gap == 1:
         params = {"length": width, "lead_ones": lead, "gap_zeros": 1, "tail_ones": tail}
         if lead < tail:
             return CaseLabel.Lemma2_rLtU, params
         if lead > tail:
             return CaseLabel.Lemma2_rGtU, params
-        if len(runs) == 3:
+        if lead + gap + tail == width:
             return CaseLabel.Lemma2_Palindrome, params
-        mid = decomposition.mid_ones
+        above = upper >> gap
+        mid = (above ^ (above + 1)).bit_length() - 1
         params = {
             "length": width,
             "lead_ones": lead,
@@ -153,20 +160,21 @@ def classify(k_odd: int) -> tuple[CaseLabel, dict[str, int]]:
         if tail >= 4:
             return CaseLabel.Lemma2_vEven_uGe4, params
         # lead == tail == 2 here, so the word starts "110" and is wide enough
-        if word.startswith("1101"):
+        if k_odd >> (width - 4) == 0b1101:
             return CaseLabel.Lemma2_u2_U4_1101, params
-        if word.startswith("11000"):
+        prefix = k_odd >> (width - 5)
+        if prefix == 0b11000:
             return CaseLabel.Lemma2_u2_U5_11000, params
-        if word.startswith("11001"):
+        if prefix == 0b11001:
             return CaseLabel.Lemma2_u2_U5_11001, params
-        raise AssertionError(f"unreachable prefix for {word}")
+        raise AssertionError(f"unreachable prefix {prefix:b} for k={k_odd}")
 
     params = {"length": width, "lead_ones": lead, "gap_zeros": gap, "tail_ones": tail}
     if lead < tail:
         return CaseLabel.Lemma3_rLtU, params
     if lead > tail:
         return CaseLabel.Lemma3_rGtU, params
-    below = decomposition.lead_zeros
+    below = width - lead - (k_odd & ((1 << (width - lead)) - 1)).bit_length()
     params = {
         "length": width,
         "lead_ones": lead,
@@ -176,7 +184,7 @@ def classify(k_odd: int) -> tuple[CaseLabel, dict[str, int]]:
     }
     if below < tail - 1:
         return CaseLabel.Lemma4, params
-    probe = decomposition.above_gap_bit
+    probe = (k_odd >> (gap + tail + 1)) & 1
     params = dict(params, above_gap_bit=probe)
     if probe == 0:
         if gap <= tail - 1:
@@ -274,42 +282,27 @@ def certify(k: int) -> WitnessCertificate:
     """Reduce, classify, construct, then verify each candidate by direct evaluation.
 
     The verified hit is the least candidate whose product parity is odd. If
-    no constructed candidate works (which indicates a classification bug,
-    not a mathematical possibility), a bounded search over 1..k_odd+4 fills
-    in, the discrepancy is logged, and the certificate is marked.
+    no constructed candidate works, which means a classification bug and not
+    a mathematical possibility, TheoremViolationError is raised at once: no
+    search over 1..k_odd+4 stands in for the construction.
     """
     k_odd, shift = reduce_to_odd(k)
     case, params = classify(k_odd)
     candidates, pivot = construct_candidates(k_odd, case, params)
-    hit = None
     for candidate in candidates:
         if thue_morse(k_odd * candidate):
-            hit = candidate
-            break
-    fallback = False
-    if hit is None:
-        _log.warning(
-            "no constructed candidate works for k_odd=%d under %s; falling back",
-            k_odd,
-            case.name,
-        )
-        fallback = True
-        for n in range(1, k_odd + 5):
-            if thue_morse(k_odd * n):
-                hit = n
-                break
-        if hit is None:
-            raise TheoremViolationError(f"no multiplier up to k+4 works for k={k_odd}")
-    return WitnessCertificate(
-        k_input=k,
-        k_odd=k_odd,
-        shift=shift,
-        case=case,
-        params=params,
-        candidates=candidates,
-        triple_pivot=pivot,
-        verified_hit=hit,
-        fallback_used=fallback,
+            return WitnessCertificate(
+                k_input=k,
+                k_odd=k_odd,
+                shift=shift,
+                case=case,
+                params=params,
+                candidates=candidates,
+                triple_pivot=pivot,
+                verified_hit=candidate,
+            )
+    raise TheoremViolationError(
+        f"no constructed candidate {candidates} works for k_odd={k_odd} under {case.name}"
     )
 
 

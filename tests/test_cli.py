@@ -255,6 +255,15 @@ def test_scan_violation_exit_code(capsys, monkeypatch):
     assert "theorem violation" in err
 
 
+@pytest.mark.parametrize("argv", [("witness", "3"), ("scan", "--from", "3", "--to", "3", "--jobs", "1")])
+def test_dud_candidate_exit_code(capsys, monkeypatch, argv):
+    # doubling keeps k = 3's even weight, so the only candidate misses
+    monkeypatch.setattr("tmwitness.witness.construct_candidates", lambda k, case, params: ((2,), None))
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert "no constructed candidate" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,6 +1,5 @@
 """Range scanning, flag enforcement, sparse-family sweeps, frequencies, CSV output."""
 
-import dataclasses
 import io
 from fractions import Fraction
 
@@ -117,16 +116,13 @@ def test_zero_min_overflow_sets_flag(monkeypatch):
     assert "ZeroMinExceedsKplus2" in record.flags
 
 
-def test_fallback_certificate_sets_flag(monkeypatch):
-    from tmwitness.witness import certify
-
-    real = certify(11)
+def test_scan_aborts_when_no_constructed_candidate_hits(monkeypatch):
+    # doubling keeps k = 3's even weight, so the only candidate misses
     monkeypatch.setattr(
-        "tmwitness.scanner.certify",
-        lambda k: dataclasses.replace(real, fallback_used=True),
+        "tmwitness.witness.construct_candidates", lambda k, case, params: ((2,), None)
     )
-    (record,) = scan_theorem(11, 11)
-    assert "CertificateFallbackUsed" in record.flags
+    with pytest.raises(TheoremViolationError, match="no constructed candidate"):
+        scan_theorem(3, 3, jobs=1)
 
 
 def test_weight_family_clean_through_six():

@@ -3,13 +3,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tmwitness.digitcore import TheoremViolationError, thue_morse, to_word
+from tmwitness.cli import serialize_certificate
+from tmwitness.digitcore import TheoremViolationError, run_decompose, thue_morse, to_word
 from tmwitness.witness import (
     _SHAPELESS,
     CaseLabel,
     UnsupportedCaseError,
-    WitnessCertificate,
     certify,
     classify,
     construct_candidates,
@@ -60,7 +61,176 @@ def test_classification_is_total_and_covers_every_case():
         case, params = classify(k)
         seen.add(case)
         assert params["length"] == k.bit_length()
+        _assert_matches_reference(k)
     assert seen == set(CaseLabel)
+
+
+def _reference_classify(k_odd):
+    """The case tree read from the whole word: run_decompose accessors and string prefixes."""
+    word = to_word(k_odd)
+    width = len(word)
+    decomposition = run_decompose(k_odd)
+    runs = decomposition.runs
+    if len(runs) == 1:
+        params = {"length": width}
+        if runs[0] % 2 == 1:
+            return CaseLabel.AllOnesOddLen, params
+        return CaseLabel.AllOnesEvenLen, params
+    tail = decomposition.tail_ones
+    if tail % 2 == 1:
+        return CaseLabel.Lemma1, {"length": width, "tail_ones": tail}
+    lead = decomposition.lead_ones
+    gap = decomposition.gap_zeros
+    if gap == 1:
+        params = {"length": width, "lead_ones": lead, "gap_zeros": 1, "tail_ones": tail}
+        if lead < tail:
+            return CaseLabel.Lemma2_rLtU, params
+        if lead > tail:
+            return CaseLabel.Lemma2_rGtU, params
+        if len(runs) == 3:
+            return CaseLabel.Lemma2_Palindrome, params
+        mid = decomposition.mid_ones
+        params = {"length": width, "lead_ones": lead, "mid_ones": mid, "gap_zeros": 1, "tail_ones": tail}
+        if mid % 2 == 1:
+            return CaseLabel.Lemma2_vOdd, params
+        if tail >= 4:
+            return CaseLabel.Lemma2_vEven_uGe4, params
+        if word.startswith("1101"):
+            return CaseLabel.Lemma2_u2_U4_1101, params
+        if word.startswith("11000"):
+            return CaseLabel.Lemma2_u2_U5_11000, params
+        if word.startswith("11001"):
+            return CaseLabel.Lemma2_u2_U5_11001, params
+        raise AssertionError(f"unreachable prefix for {word}")
+    params = {"length": width, "lead_ones": lead, "gap_zeros": gap, "tail_ones": tail}
+    if lead < tail:
+        return CaseLabel.Lemma3_rLtU, params
+    if lead > tail:
+        return CaseLabel.Lemma3_rGtU, params
+    below = decomposition.lead_zeros
+    params = {"length": width, "lead_ones": lead, "lead_zeros": below, "gap_zeros": gap, "tail_ones": tail}
+    if below < tail - 1:
+        return CaseLabel.Lemma4, params
+    probe = decomposition.above_gap_bit
+    params = dict(params, above_gap_bit=probe)
+    if probe == 0:
+        if gap <= tail - 1:
+            return CaseLabel.Lemma5_tSmall, params
+        if gap == tail:
+            if below == tail - 1:
+                return CaseLabel.Lemma5_tEq_u_s_eq, params
+            return CaseLabel.Lemma5_tEq_u_s_big, params
+        return CaseLabel.Lemma5_tGtU_gap, params
+    if gap <= tail - 1:
+        return CaseLabel.Lemma6_tSmall, params
+    if gap == tail:
+        if below == tail - 1:
+            return CaseLabel.Lemma6_tEqU_U2u, params
+        if below == tail:
+            return CaseLabel.Lemma6_tEqU_U2u1_one, params
+        return CaseLabel.Lemma6_tEqU_U2u1_zero, params
+    return CaseLabel.Lemma6_tGtU, params
+
+
+def _assert_matches_reference(k):
+    # key order is part of the certificate bytes, so compare it too
+    case, params = classify(k)
+    want_case, want_params = _reference_classify(k)
+    assert (case, list(params.items())) == (want_case, list(want_params.items())), k
+
+
+EDGE_WORDS = {
+    **{str(k): k for k in (1, 3, 51, 119759)},
+    **{f"ones{width}": (1 << width) - 1 for width in (1, 2, 3, 4, 63, 64, 65, 4095, 4096)},
+    **{f"2^{r}+1": (1 << r) + 1 for r in (1, 2, 3, 4, 63, 64, 65, 4095)},
+    "long_lead_and_tail": int("1" * 2000 + "00" + "1" * 2000, 2),
+    "long_gap_below_lead": int("11" + "0" * 4000 + "1101011", 2),
+}
+
+
+@pytest.mark.parametrize("k", EDGE_WORDS.values(), ids=EDGE_WORDS.keys())
+def test_classify_matches_reference_at_edges(k):
+    _assert_matches_reference(k)
+
+
+@st.composite
+def _uniform_odd_words(draw):
+    width = draw(st.integers(min_value=1, max_value=4096))
+    return draw(st.integers(min_value=0, max_value=(1 << (width - 1)) - 1)) | 1 | (1 << (width - 1))
+
+
+@st.composite
+def _run_structured_words(draw):
+    # lead == tail, even (an odd tail is Lemma 1 at once), with zeros-runs
+    # near the tail's width and short ones-runs common, so the deep Lemma 2,
+    # 4, 5 and 6 cases are reached
+    ends = 2 * draw(st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=13, max_value=1000)))
+    near = st.sampled_from([1, 2, ends - 1, ends, ends + 1, 2 * ends])
+    ones = st.one_of(st.sampled_from([1, 2]), st.integers(min_value=1, max_value=48))
+    gap = min(draw(st.one_of(st.just(1), near, st.integers(min_value=1, max_value=200))), 4096 - 2 * ends)
+    room = 4096 - 2 * ends - gap
+    inner = []
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        pair = [draw(near), draw(ones)]
+        if sum(inner) + sum(pair) > room:
+            break
+        inner += pair
+    runs = [ends] + inner + [gap, ends]
+    word, bit = "", "1"
+    for width in runs:
+        word += bit * width
+        bit = "0" if bit == "1" else "1"
+    return int(word, 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_uniform_odd_words())
+def test_classify_matches_reference_on_uniform_words(k):
+    _assert_matches_reference(k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_run_structured_words())
+def test_classify_matches_reference_on_run_structured_words(k):
+    _assert_matches_reference(k)
+
+
+# serialize_certificate bytes for the least odd k of each case; they pin the
+# params key order
+GOLDEN_CERTIFICATES = (
+    '{"k_input":1,"k_odd":1,"shift":0,"case":"AllOnesOddLen","params":{"length":1},"candidates":[1],"guarantee":"direct","verified_hit":1}',
+    '{"k_input":3,"k_odd":3,"shift":0,"case":"AllOnesEvenLen","params":{"length":2},"candidates":[7],"guarantee":"direct","verified_hit":7}',
+    '{"k_input":5,"k_odd":5,"shift":0,"case":"Lemma1","params":{"length":3,"tail_ones":1},"candidates":[5],"guarantee":"direct","verified_hit":5}',
+    '{"k_input":11,"k_odd":11,"shift":0,"case":"Lemma2_rLtU","params":{"length":4,"lead_ones":1,"gap_zeros":1,"tail_ones":2},"candidates":[5],"guarantee":"direct","verified_hit":5}',
+    '{"k_input":59,"k_odd":59,"shift":0,"case":"Lemma2_rGtU","params":{"length":6,"lead_ones":3,"gap_zeros":1,"tail_ones":2},"candidates":[1,3,25],"guarantee":{"triple":3},"verified_hit":1}',
+    '{"k_input":27,"k_odd":27,"shift":0,"case":"Lemma2_Palindrome","params":{"length":5,"lead_ones":2,"gap_zeros":1,"tail_ones":2},"candidates":[3],"guarantee":"direct","verified_hit":3}',
+    '{"k_input":107,"k_odd":107,"shift":0,"case":"Lemma2_vOdd","params":{"length":7,"lead_ones":2,"mid_ones":1,"gap_zeros":1,"tail_ones":2},"candidates":[17],"guarantee":"direct","verified_hit":17}',
+    '{"k_input":3951,"k_odd":3951,"shift":0,"case":"Lemma2_vEven_uGe4","params":{"length":12,"lead_ones":4,"mid_ones":2,"gap_zeros":1,"tail_ones":4},"candidates":[1,3,385],"guarantee":{"triple":3},"verified_hit":385}',
+    '{"k_input":219,"k_odd":219,"shift":0,"case":"Lemma2_u2_U4_1101","params":{"length":8,"lead_ones":2,"mid_ones":2,"gap_zeros":1,"tail_ones":2},"candidates":[17],"guarantee":"direct","verified_hit":17}',
+    '{"k_input":795,"k_odd":795,"shift":0,"case":"Lemma2_u2_U5_11000","params":{"length":10,"lead_ones":2,"mid_ones":2,"gap_zeros":1,"tail_ones":2},"candidates":[1,3,97],"guarantee":{"triple":3},"verified_hit":3}',
+    '{"k_input":411,"k_odd":411,"shift":0,"case":"Lemma2_u2_U5_11001","params":{"length":9,"lead_ones":2,"mid_ones":2,"gap_zeros":1,"tail_ones":2},"candidates":[1,5,81],"guarantee":{"triple":5},"verified_hit":81}',
+    '{"k_input":19,"k_odd":19,"shift":0,"case":"Lemma3_rLtU","params":{"length":5,"lead_ones":1,"gap_zeros":2,"tail_ones":2},"candidates":[9],"guarantee":"direct","verified_hit":9}',
+    '{"k_input":115,"k_odd":115,"shift":0,"case":"Lemma3_rGtU","params":{"length":7,"lead_ones":3,"gap_zeros":2,"tail_ones":2},"candidates":[17],"guarantee":"direct","verified_hit":17}',
+    '{"k_input":975,"k_odd":975,"shift":0,"case":"Lemma4","params":{"length":10,"lead_ones":4,"lead_zeros":2,"gap_zeros":2,"tail_ones":4},"candidates":[1,9,521],"guarantee":{"triple":9},"verified_hit":521}',
+    '{"k_input":15439,"k_odd":15439,"shift":0,"case":"Lemma5_tSmall","params":{"length":14,"lead_ones":4,"lead_zeros":3,"gap_zeros":2,"tail_ones":4,"above_gap_bit":0},"candidates":[257],"guarantee":"direct","verified_hit":257}',
+    '{"k_input":211,"k_odd":211,"shift":0,"case":"Lemma5_tEq_u_s_eq","params":{"length":8,"lead_ones":2,"lead_zeros":1,"gap_zeros":2,"tail_ones":2,"above_gap_bit":0},"candidates":[17],"guarantee":"direct","verified_hit":17}',
+    '{"k_input":403,"k_odd":403,"shift":0,"case":"Lemma5_tEq_u_s_big","params":{"length":9,"lead_ones":2,"lead_zeros":2,"gap_zeros":2,"tail_ones":2,"above_gap_bit":0},"candidates":[17],"guarantee":"direct","verified_hit":17}',
+    '{"k_input":419,"k_odd":419,"shift":0,"case":"Lemma5_tGtU_gap","params":{"length":9,"lead_ones":2,"lead_zeros":1,"gap_zeros":3,"tail_ones":2,"above_gap_bit":0},"candidates":[1,5,321],"guarantee":{"triple":5},"verified_hit":1}',
+    '{"k_input":1935,"k_odd":1935,"shift":0,"case":"Lemma6_tSmall","params":{"length":11,"lead_ones":4,"lead_zeros":3,"gap_zeros":3,"tail_ones":4,"above_gap_bit":1},"candidates":[1,3,49],"guarantee":{"triple":3},"verified_hit":49}',
+    '{"k_input":435,"k_odd":435,"shift":0,"case":"Lemma6_tEqU_U2u","params":{"length":9,"lead_ones":2,"lead_zeros":1,"gap_zeros":2,"tail_ones":2,"above_gap_bit":1},"candidates":[1,3,97],"guarantee":{"triple":3},"verified_hit":3}',
+    '{"k_input":51,"k_odd":51,"shift":0,"case":"Lemma6_tEqU_U2u1_one","params":{"length":6,"lead_ones":2,"lead_zeros":2,"gap_zeros":2,"tail_ones":2,"above_gap_bit":1},"candidates":[1,3,7],"guarantee":{"triple":3},"verified_hit":7}',
+    '{"k_input":1587,"k_odd":1587,"shift":0,"case":"Lemma6_tEqU_U2u1_zero","params":{"length":11,"lead_ones":2,"lead_zeros":3,"gap_zeros":2,"tail_ones":2,"above_gap_bit":1},"candidates":[1,5,1029],"guarantee":{"triple":5},"verified_hit":1029}',
+    '{"k_input":99,"k_odd":99,"shift":0,"case":"Lemma6_tGtU","params":{"length":7,"lead_ones":2,"lead_zeros":3,"gap_zeros":3,"tail_ones":2,"above_gap_bit":1},"candidates":[1,5,81],"guarantee":{"triple":5},"verified_hit":81}',
+)
+
+
+def test_certificate_bytes_golden_per_case():
+    cases = set()
+    for line in GOLDEN_CERTIFICATES:
+        cert = certify(int(line.split(",")[0].split(":")[1]))
+        assert serialize_certificate(cert) == line
+        cases.add(cert.case)
+    assert cases == set(CaseLabel)
 
 
 def test_construct_examples():
@@ -81,7 +251,6 @@ def test_certify_examples():
     assert cert.candidates == (1, 3, 7)
     assert cert.verified_hit == 7
     assert cert.triple_pivot == 3
-    assert not cert.fallback_used
 
     cert6 = certify(6)
     assert (cert6.k_input, cert6.k_odd, cert6.shift) == (6, 3, 1)
@@ -98,7 +267,6 @@ def test_certificate_invariants_sampled():
         cert = certify(k)
         assert cert.k_odd << cert.shift == cert.k_input == k
         assert cert.candidates == tuple(sorted(cert.candidates))
-        assert not cert.fallback_used
         assert cert.verified_hit in cert.candidates
         assert thue_morse(cert.k_odd * cert.verified_hit) == 1
         for n in cert.candidates:
@@ -163,33 +331,33 @@ def test_word_shape_missing_parameter():
         word_shape(9, CaseLabel.Lemma1, {"length": 4})
 
 
-def test_certify_fallback_path(monkeypatch, caplog):
-    # sabotage construction so no candidate hits; the bounded search must
-    # recover the true witness and mark the certificate
-    monkeypatch.setattr(
-        "tmwitness.witness.construct_candidates", lambda k, case, params: ((4,), None)
-    )
-    with caplog.at_level("WARNING", logger="tmwitness.witness"):
-        cert = certify(3)
-    assert cert.fallback_used
-    assert cert.verified_hit == 7
-    assert any("falling back" in message for message in caplog.messages)
+def _dud(k, case, params):
+    # doubling keeps the weight, so this candidate misses whenever k's weight is even
+    return (2,), None
 
 
-def test_fallback_flag_excluded_from_equality():
-    honest = certify(51)
-    marked = WitnessCertificate(
-        k_input=honest.k_input,
-        k_odd=honest.k_odd,
-        shift=honest.shift,
-        case=honest.case,
-        params=honest.params,
-        candidates=honest.candidates,
-        triple_pivot=honest.triple_pivot,
-        verified_hit=honest.verified_hit,
-        fallback_used=True,
-    )
-    assert honest == marked
+def test_certify_raises_when_no_constructed_candidate_hits(monkeypatch):
+    monkeypatch.setattr("tmwitness.witness.construct_candidates", _dud)
+    with pytest.raises(TheoremViolationError, match="no constructed candidate"):
+        certify(3)
+
+
+def test_certify_fails_at_once_on_a_long_word(monkeypatch):
+    # the least hit for 2^4096 - 1 is k + 4, so a search standing in for the
+    # dud candidate would run for about 2^4096 steps
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        if len(calls) > 10:
+            raise AssertionError("certify searched past its candidates")
+        return thue_morse(n)
+
+    monkeypatch.setattr("tmwitness.witness.thue_morse", counted)
+    monkeypatch.setattr("tmwitness.witness.construct_candidates", _dud)
+    with pytest.raises(TheoremViolationError):
+        certify((1 << 4096) - 1)
+    assert len(calls) == 1
 
 
 def test_certify_violation_when_nothing_hits(monkeypatch):
