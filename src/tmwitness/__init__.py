@@ -12,6 +12,7 @@ from .digitcore import (
     RunDecomposition,
     TheoremViolationError,
     lower_slice,
+    reduce_to_odd,
     run_decompose,
     shifted_difference_digit_sum,
     sum_digits,
@@ -20,7 +21,7 @@ from .digitcore import (
     upper_slice,
 )
 from .genbase import ConjectureReport, GenBaseQuery, conjecture_scan, corollary_construct, prop_construct
-from .oracle import SearchBound, enumerate_hits, f_exact, g_min, min_weight_witness, zero_min
+from .oracle import enumerate_hits, f_exact, g_min, min_weight_witness, zero_min
 from .scanner import (
     FREQUENCY_HEADER,
     THEOREM_HEADER,
@@ -40,7 +41,6 @@ from .witness import (
     classify,
     construct_candidates,
     f_upper,
-    reduce_to_odd,
     word_shape,
 )
 
@@ -54,7 +54,6 @@ __all__ = [
     "GenBaseQuery",
     "RunDecomposition",
     "ScanRecord",
-    "SearchBound",
     "THEOREM_HEADER",
     "TheoremViolationError",
     "UnsupportedCaseError",

@@ -15,7 +15,7 @@ import sys
 from typing import Any, Sequence
 
 from . import genbase, oracle, scanner, witness
-from .digitcore import TheoremViolationError, sum_digits, thue_morse
+from .digitcore import TheoremViolationError, reduce_to_odd, sum_digits, thue_morse
 
 __all__ = ["run", "main", "serialize_certificate", "parse_certificate"]
 
@@ -160,23 +160,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scan_payload(record: scanner.ScanRecord) -> dict:
+def _scan_payload(row: tuple) -> dict:
+    # the row's flags tuple encodes as a JSON array
     return {
-        "k": _encode_int(record.k),
-        "f": _encode_int(record.f),
-        "gap": _encode_int(record.gap),
-        "case": record.case.name,
-        "witness": _encode_int(record.witness),
-        "witness_weight": record.witness_weight,
-        "zero_min": None if record.zero_min is None else _encode_int(record.zero_min),
-        "flags": sorted(record.flags),
+        name: _encode_int(cell) if isinstance(cell, int) else cell
+        for name, cell in zip(scanner.THEOREM_HEADER, row)
     }
 
 
 def _run_f(args) -> int:
     if args.method == "oracle":
         value = oracle.f_exact(args.k)
-        case = witness.classify(witness.reduce_to_odd(args.k)[0])[0]
+        case = witness.classify(reduce_to_odd(args.k)[0])[0]
     else:
         certificate = witness.certify(args.k)
         case = certificate.case
@@ -257,18 +252,15 @@ def _dispatch(args) -> int:
         print(serialize_certificate(witness.certify(args.k)))
         return 0
     if args.command == "zeromin":
-        value = oracle.zero_min(args.k)
-        print(
-            _dump({"k": _encode_int(args.k), "zero_min": None if value is None else _encode_int(value)})
-        )
+        print(_dump({"k": _encode_int(args.k), "zero_min": _encode_int(oracle.zero_min(args.k))}))
         return 0
     if args.command == "scan":
-        records = scanner.scan_theorem(args.k_min, args.k_max, jobs=args.jobs)
+        rows = scanner.scan_rows(args.k_min, args.k_max, jobs=args.jobs)
         if args.csv_path:
-            scanner.emit_csv(records, args.csv_path)
+            scanner.emit_csv(rows, args.csv_path)
         else:
-            for record in records:
-                print(_dump(_scan_payload(record)))
+            for row in rows:
+                print(_dump(_scan_payload(row)))
         return 0
     if args.command == "weights":
         for record in scanner.scan_weight_family(args.exponent_min, args.exponent_max, args.bit_limit):

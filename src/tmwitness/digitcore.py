@@ -1,8 +1,9 @@
 """Digit-sum and binary-word primitives shared by every other module.
 
-Provides digit sums in any base, the weight-parity indicator t(n), canonical
-MSB-first binary words with slicing, run-length decompositions of odd
-integers, and the subtraction identity for digit sums of shifted differences.
+Provides the odd-core reduction, digit sums in any base, the weight-parity
+indicator t(n), canonical MSB-first binary words with slicing, run-length
+decompositions of odd integers, and the subtraction identity for digit sums
+of shifted differences.
 
 All functions are pure and exact at any magnitude: base-2 digit sums ride the
 interpreter's hardware-backed bit counting, which promotes past the machine
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 __all__ = [
     "TheoremViolationError",
     "RunDecomposition",
+    "reduce_to_odd",
     "sum_digits",
     "thue_morse",
     "to_word",
@@ -31,6 +33,18 @@ class TheoremViolationError(RuntimeError):
     This never fires on correct code; it exists so that a contradiction halts
     the run loudly instead of producing silently wrong records.
     """
+
+
+def reduce_to_odd(k: int) -> tuple[int, int]:
+    """Split k >= 1 into (odd core, power-of-two shift).
+
+    Doubling k never changes the least odd-weight multiplier, so every
+    question about k reduces to its odd core.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    shift = (k & -k).bit_length() - 1
+    return k >> shift, shift
 
 
 def sum_digits(base: int, n: int) -> int:

@@ -6,20 +6,15 @@ this module, never the other way around.
 """
 
 import heapq
-import logging
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
-from .digitcore import TheoremViolationError, thue_morse
+from .digitcore import TheoremViolationError, reduce_to_odd, thue_morse
 
 if TYPE_CHECKING:
     from .genbase import GenBaseQuery
 
-_log = logging.getLogger(__name__)
-
 __all__ = [
-    "SearchBound",
     "f_exact",
     "zero_min",
     "enumerate_hits",
@@ -28,66 +23,45 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SearchBound:
-    """Inclusive search ceiling together with the policy that justifies it."""
-
-    limit: int
-    policy: str
-
-    @classmethod
-    def theorem(cls, k_odd: int) -> "SearchBound":
-        """Ceiling k_odd + 4; valid only for the least odd-weight multiplier."""
-        return cls(k_odd + 4, "theorem")
-
-    @classmethod
-    def explicit(cls, limit: int) -> "SearchBound":
-        """Caller-chosen engineering cutoff with no guarantee attached."""
-        if limit < 1:
-            raise ValueError("explicit limit must be positive")
-        return cls(limit, "explicit")
-
-    @classmethod
-    def construction(cls, base: int, modulus: int, k: int) -> "SearchBound":
-        """Ceiling base^modulus * k, below which a digit-class witness provably exists."""
-        if math.gcd(base - 1, modulus) != 1:
-            raise ValueError("construction bound needs gcd(base-1, modulus) = 1")
-        return cls(base**modulus * k, "construction")
+def _f_ceiling(k: int) -> int:
+    # the paper's theorem: some n <= k_odd + 4 works
+    return reduce_to_odd(k)[0] + 4
 
 
-def _reduce_odd(k: int) -> int:
-    return k >> ((k & -k).bit_length() - 1)
+def _zero_ceiling(k: int) -> int:
+    # with w = k.bit_length(), k * (2^w + 1) is two copies of k that do not
+    # overlap, so its weight 2 * s2(k) is even
+    return (1 << k.bit_length()) + 1
 
 
 def f_exact(k: int) -> int:
-    """Least n >= 1 whose product with k has odd binary weight."""
+    """Least n >= 1 whose product with k has odd binary weight; at most k_odd + 4."""
     if k < 1:
         raise ValueError("k must be positive")
-    bound = SearchBound.theorem(_reduce_odd(k))
+    limit = _f_ceiling(k)
     product = 0
-    for n in range(1, bound.limit + 1):
+    for n in range(1, limit + 1):
         product += k
         if product.bit_count() & 1:
             return n
-    raise TheoremViolationError(f"no multiplier up to {bound.limit} works for k={k}")
+    raise TheoremViolationError(f"no multiplier up to {limit} works for k={k}")
 
 
-def zero_min(k: int) -> int | None:
-    """Least n >= 1 whose product with k has even binary weight, or None past 4k.
+def zero_min(k: int) -> int:
+    """Least n >= 1 whose product with k has even binary weight; at most 2^w + 1 <= 2k + 1.
 
-    The 4k ceiling is an engineering cutoff, not a proven bound; exhausting it
-    is reported as data (a logged None), never as a crash.
+    Here w = k.bit_length(), and n = 2^w + 1 always works, so exhausting that
+    ceiling is a contradiction and raises TheoremViolationError.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    bound = SearchBound.explicit(4 * k)
+    limit = _zero_ceiling(k)
     product = 0
-    for n in range(1, bound.limit + 1):
+    for n in range(1, limit + 1):
         product += k
         if product.bit_count() & 1 == 0:
             return n
-    _log.warning("no even-weight multiple of k=%d within 4k; recording overflow", k)
-    return None
+    raise TheoremViolationError(f"no even-weight multiple of k={k} up to n={limit}")
 
 
 def enumerate_hits(k: int, n_max: int) -> list[int]:
@@ -145,9 +119,10 @@ def g_min(query: "GenBaseQuery") -> int:
     wanted = query.digit_class % modulus
     if math.gcd(base - 1, modulus) != 1:
         raise ValueError("termination needs gcd(base-1, modulus) = 1")
-    bound = SearchBound.construction(base, modulus, k)
+    # below base^modulus * k a digit-class witness provably exists
+    limit = base**modulus * k
     product = 0
-    for n in range(1, bound.limit + 1):
+    for n in range(1, limit + 1):
         product += k
         value = product
         total = 0
@@ -157,5 +132,5 @@ def g_min(query: "GenBaseQuery") -> int:
         if total % modulus == wanted:
             return n
     raise TheoremViolationError(
-        f"no multiplier up to {bound.limit} reaches digit class {wanted} for k={k}"
+        f"no multiplier up to {limit} reaches digit class {wanted} for k={k}"
     )

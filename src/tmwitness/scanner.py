@@ -1,23 +1,29 @@
 """Range verification and statistics: per-k records, sparse-family sweeps, exact frequencies, CSV.
 
-Scans are pure maps over k followed by an order-preserving merge, so a
-partitioned run is byte-identical to the sequential one; parallelism degree
-is configuration, never semantics. Any contradiction of the proven
+The theorem scan is a pure map over odd cores whose results are consumed in
+order, so a run with worker processes is byte-identical to the sequential
+one; parallelism degree is configuration, never semantics. Any contradiction of the proven
 characterization aborts the run loudly instead of skipping the offender.
 """
 
-import csv
 import logging
+import os
+import shutil
+from array import array
+from bisect import bisect_left
+from collections import deque
+from contextlib import suppress
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import xor
-from typing import Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Sequence
 
 from . import oracle
-from .digitcore import TheoremViolationError
-from .witness import CaseLabel, certify, reduce_to_odd
+from .digitcore import TheoremViolationError, reduce_to_odd
+from .witness import CaseLabel, certify
 
 _log = logging.getLogger(__name__)
 
@@ -47,7 +53,7 @@ class ScanRecord:
     case: CaseLabel
     witness: int
     witness_weight: int
-    zero_min: int | None
+    zero_min: int
     flags: frozenset[str]
 
 
@@ -69,6 +75,12 @@ class FrequencyRecord:
     ones_frequency: Fraction
 
 
+_CASE_NAMES = {case.value: case.name for case in CaseLabel}
+# odd cores per worker task: about 10 ms of work for k near 2^18, so that
+# dispatch and pickling cost little and a range of a few thousand k has two tasks
+_CORE_CHUNK = 1024
+
+
 def _is_even_power_of_two(value: int) -> bool:
     # 2^(2r) with r >= 1: a power of two whose width is odd
     return value >= 4 and value.bit_count() == 1 and value.bit_length() % 2 == 1
@@ -79,87 +91,158 @@ def _is_shifted_power(k: int) -> bool:
     return k >= 5 and (k - 1).bit_count() == 1
 
 
-def _record_for(k: int) -> ScanRecord:
-    certificate = certify(k)
-    least = oracle.f_exact(k)
-    if not least <= certificate.verified_hit <= certificate.k_odd + 4:
-        raise TheoremViolationError(
-            f"oracle and construction disagree at k={k}: "
-            f"{least} vs {certificate.verified_hit}"
-        )
-    gap = least - k
+def _core_results(cores: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(f, case value, zero_min) of each odd core, with the oracle checked against the construction."""
+    results = []
+    for core in cores:
+        certificate = certify(core)
+        least = oracle.f_exact(core)
+        if not least <= certificate.verified_hit <= core + 4:
+            raise TheoremViolationError(
+                f"oracle and construction disagree at k={core}: "
+                f"{least} vs {certificate.verified_hit}"
+            )
+        results.append((least, certificate.case.value, oracle.zero_min(core)))
+    return results
+
+
+def _gap_flag(k: int, gap: int) -> tuple[str]:
+    """The flag of a gap >= 0 at k, once the characterization's rule for that gap holds."""
     if gap > 4 or gap in (2, 3):
         raise TheoremViolationError(f"characterization breached at k={k}: gap {gap}")
-    flags = set()
     if gap == 4:
         if not _is_even_power_of_two(k + 1):
             raise TheoremViolationError(f"gap-4 coefficient k={k} is not one below 4^r")
-        flags.add("GapEquals4")
+        return ("GapEquals4",)
     if gap == 1:
         if k != 6:
             raise TheoremViolationError(f"gap-1 coefficient k={k} is not 6")
-        flags.add("GapEquals1")
-    if gap == 0:
-        if k != 1 and not _is_shifted_power(k):
-            raise TheoremViolationError(f"gap-0 coefficient k={k} is not 1 or 2^r+1")
-        flags.add("GapEquals0")
+        return ("GapEquals1",)
+    if k != 1 and not _is_shifted_power(k):
+        raise TheoremViolationError(f"gap-0 coefficient k={k} is not 1 or 2^r+1")
+    return ("GapEquals0",)
+
+
+def _row(k: int, least: int, case: int, zero: int) -> tuple:
+    """k's row from its odd core's result, after every gap and flag rule is checked against k."""
+    gap = least - k
+    flags = _gap_flag(k, gap) if gap >= 0 else ()  # a negative gap breaks no rule
+    if zero > k + 2:
+        flags += ("ZeroMinExceedsKplus2",)  # sorts after every gap flag
     weight = least.bit_count()
     if weight > 3:
         # a sparse witness no larger than k+4 still exists; the minimum just is not it
         _log.info("least witness for k=%d is %d with weight %d", k, least, weight)
-    zero = oracle.zero_min(k)
-    if zero is None or zero > k + 2:
-        flags.add("ZeroMinExceedsKplus2")
-    return ScanRecord(
-        k=k,
-        f=least,
-        gap=gap,
-        case=certificate.case,
-        witness=least,
-        witness_weight=weight,
-        zero_min=zero,
-        flags=frozenset(flags),
-    )
+    return (k, least, gap, _CASE_NAMES[case], least, weight, zero, flags)
 
 
-def _scan_chunk(chunk: tuple[int, int]) -> list[ScanRecord]:
-    low, high = chunk
-    return [_record_for(k) for k in range(low, high + 1)]
+def _column(limit: int):
+    """An empty column for ints up to limit: an array of machine words where they fit, else a list."""
+    for code in "IQ":
+        if limit >> 8 * array(code).itemsize == 0:
+            return array(code)
+    return []
 
 
-def _split_range(k_min: int, k_max: int, parts: int) -> list[tuple[int, int]]:
-    total = k_max - k_min + 1
-    size, extra = divmod(total, parts)
-    chunks = []
-    start = k_min
-    for index in range(parts):
-        width = size + (1 if index < extra else 0)
-        if width == 0:
-            break
-        chunks.append((start, start + width - 1))
-        start += width
-    return chunks
+def _cores_below(k_min: int, k_max: int):
+    """Ascending odd c < k_min with some c * 2^s, s >= 1, in k_min..k_max, in a column.
+
+    The cores of one s form a run, and a larger s gives a run no higher, so
+    taking s downwards and starting each run past the last core taken lists
+    them in order without a set.
+    """
+    cores = _column(k_min)
+    for shift in range(k_max.bit_length() - 1, 0, -1):
+        low = max(-(-k_min >> shift) | 1, cores[-1] + 2 if cores else 1)
+        cores.extend(range(low, min(k_max >> shift, k_min - 1) + 1, 2))
+    return cores
 
 
-def scan_theorem(k_min: int, k_max: int, jobs: int = 1) -> list[ScanRecord]:
-    """One verified record per k in ascending order.
+def _chunks(cores: Sequence[int]) -> list[Sequence[int]]:
+    return [cores[start : start + _CORE_CHUNK] for start in range(0, len(cores), _CORE_CHUNK)]
 
-    jobs > 1 splits the range into contiguous chunks handled by worker
-    processes; the merged records are identical to a sequential scan. Every
-    flag invariant is enforced here, so a scan that returns has re-proved
-    the characterization on its range.
+
+def _in_order(tasks: list[Sequence[int]], jobs: int) -> Iterator[list[tuple[int, int, int]]]:
+    """The core results of each task, in task order, from jobs worker processes.
+
+    Only about two tasks per worker are submitted ahead of the consumer, so
+    the results in flight stay bounded whatever the range and however far
+    the consumer lags.
+    """
+    if jobs == 1 or len(tasks) == 1:
+        yield from map(_core_results, tasks)
+        return
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        pending: deque = deque()
+        for task in tasks:
+            pending.append(pool.submit(_core_results, task))
+            if len(pending) > 2 * jobs:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def scan_rows(k_min: int, k_max: int, jobs: int = 1) -> Iterator[tuple]:
+    """One verified row per k in ascending order, yielded as the rows are made.
+
+    A row holds THEOREM_HEADER's fields in order: the case by name and the
+    flags as a sorted tuple, empty when there are none.
+    Since s2(2m) = s2(m), an even k has its odd core's f, case and zero_min,
+    so the oracles and certify run once per odd core: cores at or above k_min
+    as the scan reaches them, and the cores below k_min that some even k in
+    the range needs before them. jobs > 1 computes the cores in worker
+    processes and changes no row. Every gap and flag rule is checked against
+    every k here, so a scan that ends has re-proved the characterization on
+    its range, and one that breaks it raises TheoremViolationError at that k.
     """
     if not 1 <= k_min <= k_max:
         raise ValueError("need 1 <= k_min <= k_max")
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    if jobs == 1 or k_max - k_min + 1 < 2 * jobs:
-        return [_record_for(k) for k in range(k_min, k_max + 1)]
-    records: list[ScanRecord] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_scan_chunk, _split_range(k_min, k_max, jobs)):
-            records.extend(part)
-    return records
+    below = _cores_below(k_min, k_max)
+    tasks = _chunks(below) + _chunks(range(k_min | 1, k_max + 1, 2))
+    return _rows(k_min, k_max, below, chain.from_iterable(_in_order(tasks, jobs)))
+
+
+def _rows(k_min: int, k_max: int, below: Sequence[int], results: Iterator) -> Iterator[tuple]:
+    """Rows from the results of below's cores and then of each odd k in range, in that order.
+
+    The results an even k may still need are kept in three columns, a few
+    bytes per core: below's cores first, then each odd k <= k_max // 2. An
+    even k finds its core in below by bisection, or past it by arithmetic.
+    """
+    fs, cases, zeros = _column(k_max // 2 + 4), bytearray(), _column(k_max + 1)
+
+    def keep(result: tuple[int, int, int]) -> None:
+        least, case, zero = result
+        fs.append(least)
+        cases.append(case)
+        zeros.append(zero)
+
+    for result in islice(results, len(below)):
+        keep(result)
+    base, half = k_min | 1, k_max // 2  # no even k in range has a larger core than half
+    for k in range(k_min, k_max + 1):
+        if k & 1:
+            result = next(results)
+            if k <= half:
+                keep(result)
+        else:
+            core = k >> ((k & -k).bit_length() - 1)
+            at = len(below) + ((core - base) >> 1) if core >= base else bisect_left(below, core)
+            result = fs[at], cases[at], zeros[at]
+        yield _row(k, *result)
+
+
+def scan_theorem(k_min: int, k_max: int, jobs: int = 1) -> list[ScanRecord]:
+    """The rows of scan_rows as ScanRecords, in a list."""
+    return [
+        ScanRecord(k, f, gap, CaseLabel[case], hit, weight, zero, frozenset(flags))
+        for k, f, gap, case, hit, weight, zero, flags in scan_rows(k_min, k_max, jobs)
+    ]
 
 
 def scan_weight_family(exponent_min: int, exponent_max: int, bit_limit: int) -> list[WeightFamilyRecord]:
@@ -264,7 +347,7 @@ def frequency(k: int, sample_count: int) -> FrequencyRecord:
     return FrequencyRecord(k, sample_count, Fraction(hits, sample_count))
 
 
-def _scan_row(record: ScanRecord) -> tuple:
+def _record_row(record: ScanRecord) -> tuple:
     return (
         record.k,
         record.f,
@@ -272,42 +355,62 @@ def _scan_row(record: ScanRecord) -> tuple:
         record.case.name,
         record.witness,
         record.witness_weight,
-        "" if record.zero_min is None else record.zero_min,
-        "|".join(sorted(record.flags)),
+        record.zero_min,
+        tuple(sorted(record.flags)),
     )
 
 
-def _frequency_row(record: FrequencyRecord) -> tuple:
-    return (
-        record.k,
-        record.sample_count,
-        record.ones_frequency.numerator,
-        record.ones_frequency.denominator,
-    )
+def _scan_line(row: tuple) -> str:
+    k, least, gap, case, hit, weight, zero, flags = row
+    return "%d,%d,%d,%s,%d,%d,%d,%s\n" % (k, least, gap, case, hit, weight, zero, "|".join(flags))
 
 
-def emit_csv(records: Sequence, destination) -> None:
+def _frequency_line(record: FrequencyRecord) -> str:
+    fraction = record.ones_frequency
+    return "%d,%d,%d,%d\n" % (record.k, record.sample_count, fraction.numerator, fraction.denominator)
+
+
+def emit_csv(records: Iterable, destination) -> None:
     """Write records as CSV: UTF-8, LF line endings, stable columns, no trailing whitespace.
 
-    Scan records and frequency records carry different headers; the header is
-    chosen by the first record's type, falling back to the scan header for an
-    empty sequence. destination may be a path or an open text handle. Equal
-    inputs produce byte-identical files.
+    records are ScanRecords, FrequencyRecords or the rows of scan_rows, and
+    are written as they are drawn, so a scan streams to the file. The header
+    and format follow the first record's type, with the scan header for an
+    empty iterable. No cell ever needs quoting, as each is an integer or an
+    identifier, so lines are formatted directly. destination may be an open
+    text handle or a path. A path to a regular file, or to none yet, is
+    written through a temporary file beside the file it resolves to, which
+    replaces that file, with its mode, only once every record is written, so
+    a run that raises leaves it as it was and a symlink to it stays a
+    symlink. Any other path, such as a FIFO or /dev/stdout, is written
+    through as it is. Equal inputs produce byte-identical files.
     """
-    rows = list(records)
-    if rows and isinstance(rows[0], FrequencyRecord):
-        header, formatter = FREQUENCY_HEADER, _frequency_row
+    items = iter(records)
+    first = next(items, None)
+    rows = () if first is None else chain((first,), items)
+    if isinstance(first, FrequencyRecord):
+        header, lines = FREQUENCY_HEADER, map(_frequency_line, rows)
     else:
-        header, formatter = THEOREM_HEADER, _scan_row
+        if isinstance(first, ScanRecord):
+            rows = map(_record_row, rows)
+        header, lines = THEOREM_HEADER, map(_scan_line, rows)
+    lines = chain((",".join(header) + "\n",), lines)
     if hasattr(destination, "write"):
-        _write_rows(destination, header, rows, formatter)
+        destination.writelines(lines)
         return
-    with open(destination, "w", encoding="utf-8", newline="") as handle:
-        _write_rows(handle, header, rows, formatter)
-
-
-def _write_rows(handle, header, rows, formatter) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    for record in rows:
-        writer.writerow(formatter(record))
+    if os.path.exists(destination) and not os.path.isfile(destination):
+        with open(destination, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(lines)
+        return
+    path = os.path.realpath(destination)
+    temporary = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(lines)
+        if os.path.exists(path):
+            shutil.copymode(path, temporary)
+        os.replace(temporary, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(temporary)
+        raise

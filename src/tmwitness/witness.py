@@ -16,13 +16,12 @@ rather than trusted input.
 import enum
 from dataclasses import dataclass
 
-from .digitcore import TheoremViolationError, thue_morse, to_word
+from .digitcore import TheoremViolationError, reduce_to_odd, thue_morse, to_word
 
 __all__ = [
     "CaseLabel",
     "UnsupportedCaseError",
     "WitnessCertificate",
-    "reduce_to_odd",
     "classify",
     "construct_candidates",
     "certify",
@@ -81,18 +80,6 @@ class WitnessCertificate:
     candidates: tuple[int, ...]
     triple_pivot: int | None
     verified_hit: int
-
-
-def reduce_to_odd(k: int) -> tuple[int, int]:
-    """Split k >= 1 into (odd core, power-of-two shift).
-
-    Doubling k never changes the least odd-weight multiplier, so every
-    question about k reduces to its odd core.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    shift = (k & -k).bit_length() - 1
-    return k >> shift, shift
 
 
 def classify(k_odd: int) -> tuple[CaseLabel, dict[str, int]]:

@@ -237,13 +237,9 @@ def test_criterion_09_hit_frequency_near_half():
 
 def test_criterion_10_zero_witness_remark(theorem_scan):
     assert len(theorem_scan) == 65536
-    exceedances = [
-        record.k
-        for record in theorem_scan
-        if record.zero_min is None or record.zero_min > record.k + 2
-    ]
+    exceedances = [record.k for record in theorem_scan if record.zero_min > record.k + 2]
     flagged = [record.k for record in theorem_scan if "ZeroMinExceedsKplus2" in record.flags]
-    worst = max(record.zero_min - record.k for record in theorem_scan if record.zero_min is not None)
+    worst = max(record.zero_min - record.k for record in theorem_scan)
     report(
         10,
         exceedances == flagged,

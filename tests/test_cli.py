@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import tmwitness
+from tmwitness import scanner
 from tmwitness.cli import _build_parser, parse_certificate, run, serialize_certificate
+from tmwitness.digitcore import TheoremViolationError
 from tmwitness.witness import certify
 
 
@@ -103,9 +105,12 @@ def test_zeromin(capsys):
     assert invoke(capsys, "zeromin", "3")[1] == '{"k":3,"zero_min":1}\n'
 
 
-def test_zeromin_overflow_is_null(capsys, monkeypatch):
-    monkeypatch.setattr("tmwitness.oracle.zero_min", lambda k: None)
-    assert invoke(capsys, "zeromin", "7")[1] == '{"k":7,"zero_min":null}\n'
+def test_zeromin_past_ceiling_exits_3(capsys, monkeypatch):
+    # zero_min(7) is 9, past a ceiling of 8
+    monkeypatch.setattr("tmwitness.oracle._zero_ceiling", lambda k: 8)
+    code, out, err = invoke(capsys, "zeromin", "7")
+    assert (code, out) == (3, "")
+    assert "theorem violation" in err
 
 
 def test_scan_jsonl(capsys):
@@ -154,6 +159,28 @@ def test_scan_csv_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
     text = target.read_text(encoding="utf-8")
     assert text.startswith("k,f,gap,case,")
     assert len(text.splitlines()) == 6
+
+
+def test_scan_violation_leaves_csv_untouched(capsys, monkeypatch, tmp_path):
+    real_certify = scanner.certify
+
+    def certify_failing_at_51(k):
+        if k == 51:
+            raise TheoremViolationError("planted at k=51")
+        return real_certify(k)
+
+    monkeypatch.setattr(scanner, "certify", certify_failing_at_51)
+    # small tasks, so the rows before k=51 are written before the breach
+    monkeypatch.setattr(scanner, "_CORE_CHUNK", 8)
+    target = tmp_path / "scan.csv"
+    target.write_bytes(b"earlier contents\n")
+    code, out, err = invoke(
+        capsys, "scan", "--from", "1", "--to", "200", "--jobs", "1", "--csv", str(target)
+    )
+    assert (code, out) == (3, "")
+    assert "planted at k=51" in err
+    assert target.read_bytes() == b"earlier contents\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["scan.csv"]
 
 
 def test_scan_csv_unwritable_path_is_io_error(capsys, tmp_path):

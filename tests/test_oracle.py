@@ -3,11 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tmwitness.digitcore import TheoremViolationError, thue_morse
 from tmwitness.genbase import GenBaseQuery
 from tmwitness.oracle import (
-    SearchBound,
     enumerate_hits,
     f_exact,
     g_min,
@@ -63,12 +63,26 @@ def test_zero_min_extreme_within_range():
     assert zero_min(32767) == 32769
 
 
-def test_zero_min_overflow_returns_none(monkeypatch, caplog):
-    # force exhaustion rather than hunting for a natural > 4k case
-    monkeypatch.setattr("tmwitness.oracle.SearchBound.explicit", lambda limit: SearchBound(2, "explicit"))
-    with caplog.at_level("WARNING", logger="tmwitness.oracle"):
-        assert zero_min(1) is None
-    assert any("overflow" in message for message in caplog.messages)
+@given(st.integers(min_value=1, max_value=1 << 300))
+def test_zero_min_ceiling_is_an_even_weight_multiplier(k):
+    # k * (2^w + 1) is two copies of k that do not overlap, w = k.bit_length()
+    ceiling = (1 << k.bit_length()) + 1
+    assert thue_morse(k * ceiling) == 0
+    assert ceiling <= 2 * k + 1
+
+
+def test_zero_min_reaches_its_ceiling():
+    # 2^w - 1 with w odd needs n = 2^w + 1, so the ceiling cannot be lowered
+    for width in (1, 3, 5, 7, 9, 11, 13):
+        k = (1 << width) - 1
+        assert zero_min(k) == (1 << width) + 1
+
+
+def test_zero_min_past_ceiling_raises(monkeypatch):
+    # zero_min(1) is 3, so a ceiling of 2 is exhausted
+    monkeypatch.setattr("tmwitness.oracle._zero_ceiling", lambda k: 2)
+    with pytest.raises(TheoremViolationError, match="k=1"):
+        zero_min(1)
 
 
 def test_enumerate_hits_frozen():
@@ -138,17 +152,7 @@ def test_g_min_negative_class_normalized():
     assert g_min(GenBaseQuery(2, 2, -1, 3)) == g_min(GenBaseQuery(2, 2, 1, 3))
 
 
-def test_search_bound_policies():
-    assert SearchBound.theorem(51) == SearchBound(55, "theorem")
-    assert SearchBound.explicit(12).policy == "explicit"
-    assert SearchBound.construction(2, 2, 3) == SearchBound(12, "construction")
-    with pytest.raises(ValueError):
-        SearchBound.explicit(0)
-    with pytest.raises(ValueError):
-        SearchBound.construction(3, 2, 4)
-
-
 def test_f_exact_violation_when_bound_forced_too_low(monkeypatch):
-    monkeypatch.setattr("tmwitness.oracle.SearchBound.theorem", lambda k_odd: SearchBound(2, "theorem"))
+    monkeypatch.setattr("tmwitness.oracle._f_ceiling", lambda k: 2)
     with pytest.raises(TheoremViolationError):
         f_exact(3)

@@ -1,11 +1,15 @@
 """Range scanning, flag enforcement, sparse-family sweeps, frequencies, CSV output."""
 
 import io
+import os
+import stat
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tmwitness import oracle
 from tmwitness.digitcore import TheoremViolationError, thue_morse
 from tmwitness.scanner import (
     FREQUENCY_HEADER,
@@ -18,7 +22,7 @@ from tmwitness.scanner import (
     scan_theorem,
     scan_weight_family,
 )
-from tmwitness.witness import CaseLabel
+from tmwitness.witness import CaseLabel, certify
 
 F_TABLE = [1, 1, 7, 1, 5, 7, 1, 1, 9, 5, 1, 7, 1, 1, 19, 1, 17, 9, 1, 5]
 
@@ -78,6 +82,32 @@ def test_parallel_scan_equals_sequential():
     assert scan_theorem(40, 44, jobs=16) == scan_theorem(40, 44)
 
 
+def _reference_record(k):
+    """k's record with certify and both oracles called on k itself, even k included."""
+    certificate = certify(k)
+    least = oracle.f_exact(k)
+    assert least <= certificate.verified_hit <= certificate.k_odd + 4
+    zero = oracle.zero_min(k)
+    flags = {4: {"GapEquals4"}, 1: {"GapEquals1"}, 0: {"GapEquals0"}}.get(least - k, set())
+    if zero > k + 2:
+        flags.add("ZeroMinExceedsKplus2")
+    return ScanRecord(k, least, least - k, certificate.case, least, least.bit_count(), zero, frozenset(flags))
+
+
+@pytest.mark.parametrize(
+    "k_min, k_max",
+    # 1000..1100 and 2^20.. hold even k whose odd cores lie below the range
+    [(1, 4096), (1000, 1100), (4096, 4096), (2**20, 2**20 + 300)],
+)
+def test_scan_matches_per_k_reference_for_every_jobs(monkeypatch, k_min, k_max):
+    reference = [_reference_record(k) for k in range(k_min, k_max + 1)]
+    assert scan_theorem(k_min, k_max) == reference
+    # small tasks, so several are in flight per worker and may finish out of order
+    monkeypatch.setattr("tmwitness.scanner._CORE_CHUNK", 37)
+    for jobs in (1, 2, 3):
+        assert scan_theorem(k_min, k_max, jobs=jobs) == reference, jobs
+
+
 def test_parallel_scan_csv_byte_identical(tmp_path):
     a = tmp_path / "seq.csv"
     b = tmp_path / "par.csv"
@@ -105,15 +135,17 @@ def test_scan_aborts_on_flag_invariant_breach(monkeypatch):
 
 
 def test_zero_min_overflow_sets_flag(monkeypatch):
-    monkeypatch.setattr("tmwitness.scanner.oracle.zero_min", lambda k: None)
-    (record,) = scan_theorem(4, 4)
-    assert record.zero_min is None
-    assert "ZeroMinExceedsKplus2" in record.flags
-
-    monkeypatch.setattr("tmwitness.scanner.oracle.zero_min", lambda k: k + 3)
+    # k = 4 takes zero_min from its odd core 1, and only from it
+    monkeypatch.setattr("tmwitness.scanner.oracle.zero_min", lambda k: {1: 7}[k])
     (record,) = scan_theorem(4, 4)
     assert record.zero_min == 7
     assert "ZeroMinExceedsKplus2" in record.flags
+
+    # the flag compares a core's zero_min with each k, not with the core
+    monkeypatch.setattr("tmwitness.scanner.oracle.zero_min", lambda k: {1: 5, 3: 1}[k])
+    records = scan_theorem(1, 4)
+    assert [record.zero_min for record in records] == [5, 5, 1, 5]
+    assert ["ZeroMinExceedsKplus2" in record.flags for record in records] == [True, True, False, False]
 
 
 def test_scan_aborts_when_no_constructed_candidate_hits(monkeypatch):
@@ -213,7 +245,35 @@ def test_emit_csv_accepts_open_handle():
     assert lines[1].startswith("5,5,0,")
 
 
-def test_emit_csv_multi_flag_and_missing_zero_min():
+def test_emit_csv_through_symlink_replaces_target_and_keeps_mode(tmp_path):
+    target = tmp_path / "target.csv"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    emit_csv(scan_theorem(1, 3), link)
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_text(encoding="utf-8").splitlines()[1] == "1,1,0,AllOnesOddLen,1,1,3,GapEquals0"
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_emit_csv_writes_through_a_fifo(tmp_path):
+    fifo = tmp_path / "rows.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    emit_csv(scan_theorem(1, 3), fifo)
+    reader.join(timeout=10)
+    assert received and received[0].startswith(b"k,f,gap,case,")
+    assert received[0].endswith(b"3,7,4,AllOnesEvenLen,7,3,1,GapEquals4\n")
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert [path.name for path in tmp_path.iterdir()] == ["rows.fifo"]
+
+
+def test_emit_csv_multi_flag():
     synthetic = ScanRecord(
         k=99,
         f=103,
@@ -221,13 +281,13 @@ def test_emit_csv_multi_flag_and_missing_zero_min():
         case=CaseLabel.Lemma1,
         witness=103,
         witness_weight=5,
-        zero_min=None,
+        zero_min=102,
         flags=frozenset({"ZeroMinExceedsKplus2", "GapEquals4"}),
     )
     buffer = io.StringIO()
     emit_csv([synthetic], buffer)
     assert buffer.getvalue().splitlines()[1] == (
-        "99,103,4,Lemma1,103,5,,GapEquals4|ZeroMinExceedsKplus2"
+        "99,103,4,Lemma1,103,5,102,GapEquals4|ZeroMinExceedsKplus2"
     )
 
 
