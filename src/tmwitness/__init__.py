@@ -21,9 +21,8 @@ from .digitcore import (
     upper_slice,
 )
 from .genbase import ConjectureReport, GenBaseQuery, conjecture_scan, corollary_construct, prop_construct
-from .oracle import enumerate_hits, f_exact, g_min, min_weight_witness, zero_min
+from .oracle import f_exact, g_min, min_weight_witness, zero_min
 from .scanner import (
-    FREQUENCY_HEADER,
     THEOREM_HEADER,
     FrequencyRecord,
     ScanRecord,
@@ -40,7 +39,6 @@ from .witness import (
     certify,
     classify,
     construct_candidates,
-    f_upper,
     word_shape,
 )
 
@@ -49,7 +47,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CaseLabel",
     "ConjectureReport",
-    "FREQUENCY_HEADER",
     "FrequencyRecord",
     "GenBaseQuery",
     "RunDecomposition",
@@ -65,9 +62,7 @@ __all__ = [
     "construct_candidates",
     "corollary_construct",
     "emit_csv",
-    "enumerate_hits",
     "f_exact",
-    "f_upper",
     "frequency",
     "g_min",
     "lower_slice",

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from typing import Any, Sequence
 
 from . import genbase, oracle, scanner, witness
@@ -160,39 +161,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scan_payload(row: tuple) -> dict:
-    # the row's flags tuple encodes as a JSON array
-    return {
-        name: _encode_int(cell) if isinstance(cell, int) else cell
-        for name, cell in zip(scanner.THEOREM_HEADER, row)
-    }
+def _emit(payload: dict) -> None:
+    """Print a flat payload as one compact JSON line, each int past 2^53 - 1 as a string.
+
+    bools and None pass through: _encode_int returns a bool as it is.
+    """
+    print(_dump({name: _encode_int(v) if isinstance(v, int) else v for name, v in payload.items()}))
 
 
 def _run_f(args) -> int:
     if args.method == "oracle":
         value = oracle.f_exact(args.k)
         case = witness.classify(reduce_to_odd(args.k)[0])[0]
-    else:
+    elif args.method == "constructive":
         certificate = witness.certify(args.k)
+        value, case = certificate.verified_hit, certificate.case
+    else:
+        value, certificate = scanner.checked_least(args.k)
         case = certificate.case
-        if args.method == "constructive":
-            value = certificate.verified_hit
-        else:
-            value = oracle.f_exact(args.k)
-            if not value <= certificate.verified_hit <= certificate.k_odd + 4:
-                raise TheoremViolationError(
-                    f"oracle {value} vs construction {certificate.verified_hit} at k={args.k}"
-                )
-    print(
-        _dump(
-            {
-                "k": _encode_int(args.k),
-                "f": _encode_int(value),
-                "gap": _encode_int(value - args.k),
-                "case": case.name,
-            }
-        )
-    )
+    _emit({"k": args.k, "f": value, "gap": value - args.k, "case": case.name})
     return 0
 
 
@@ -209,106 +196,67 @@ def _run_genbase(args) -> int:
         "base": args.base,
         "mod": query.modulus,
         "class": query.digit_class,
-        "k": _encode_int(args.k),
-        "residue": None if args.residue is None else _encode_int(args.residue),
+        "k": args.k,
+        "residue": args.residue,
         "method": method,
     }
     if args.residue is not None:
-        payload["constructed"] = _encode_int(genbase.corollary_construct(query))
+        payload["constructed"] = genbase.corollary_construct(query)
     else:
-        constructed = minimum = None
         if method in ("construct", "both"):
-            constructed = genbase.prop_construct(query)
-            payload["constructed"] = _encode_int(constructed)
+            payload["constructed"] = genbase.prop_construct(query)
         if method in ("oracle", "both"):
-            minimum = oracle.g_min(query)
-            payload["minimum"] = _encode_int(minimum)
-        if constructed is not None and minimum is not None and minimum > constructed:
+            payload["minimum"] = oracle.g_min(query)
+        if method == "both" and payload["minimum"] > payload["constructed"]:
             raise TheoremViolationError(
-                f"oracle minimum {minimum} exceeds constructed witness {constructed}"
+                f"oracle minimum {payload['minimum']} exceeds "
+                f"constructed witness {payload['constructed']}"
             )
-    print(_dump(payload))
+    _emit(payload)
     return 0
 
 
 def _dispatch(args) -> int:
     if args.command == "tm":
-        print(_dump({"n": _encode_int(args.n), "t": thue_morse(args.n)}))
-        return 0
-    if args.command == "sdigits":
-        print(
-            _dump(
-                {
-                    "base": args.base,
-                    "n": _encode_int(args.n),
-                    "digit_sum": _encode_int(sum_digits(args.base, args.n)),
-                }
-            )
-        )
-        return 0
-    if args.command == "f":
+        _emit({"n": args.n, "t": thue_morse(args.n)})
+    elif args.command == "sdigits":
+        _emit({"base": args.base, "n": args.n, "digit_sum": sum_digits(args.base, args.n)})
+    elif args.command == "f":
         return _run_f(args)
-    if args.command == "witness":
+    elif args.command == "witness":
         print(serialize_certificate(witness.certify(args.k)))
-        return 0
-    if args.command == "zeromin":
-        print(_dump({"k": _encode_int(args.k), "zero_min": _encode_int(oracle.zero_min(args.k))}))
-        return 0
-    if args.command == "scan":
+    elif args.command == "zeromin":
+        _emit({"k": args.k, "zero_min": oracle.zero_min(args.k)})
+    elif args.command == "scan":
         rows = scanner.scan_rows(args.k_min, args.k_max, jobs=args.jobs)
         if args.csv_path:
             scanner.emit_csv(rows, args.csv_path)
         else:
+            # the flags tuple encodes as a JSON array
             for row in rows:
-                print(_dump(_scan_payload(row)))
-        return 0
-    if args.command == "weights":
+                _emit(dict(zip(scanner.THEOREM_HEADER, row)))
+    elif args.command == "weights":
         for record in scanner.scan_weight_family(args.exponent_min, args.exponent_max, args.bit_limit):
-            print(
-                _dump(
-                    {
-                        "r": record.exponent,
-                        "k": _encode_int(record.k),
-                        "counterexample": None
-                        if record.counterexample is None
-                        else _encode_int(record.counterexample),
-                    }
-                )
-            )
-        return 0
-    if args.command == "freq":
+            _emit({"r": record.exponent, "k": record.k, "counterexample": record.counterexample})
+    elif args.command == "freq":
         record = scanner.frequency(args.k, args.samples)
-        print(
-            _dump(
-                {
-                    "k": _encode_int(record.k),
-                    "sample_count": _encode_int(record.sample_count),
-                    "ones_numerator": _encode_int(record.ones_frequency.numerator),
-                    "ones_denominator": _encode_int(record.ones_frequency.denominator),
-                }
-            )
+        fraction = record.ones_frequency
+        _emit(
+            {
+                "k": record.k,
+                "sample_count": record.sample_count,
+                "ones_numerator": fraction.numerator,
+                "ones_denominator": fraction.denominator,
+            }
         )
-        return 0
-    if args.command == "genbase":
+    elif args.command == "genbase":
         return _run_genbase(args)
-    if args.command == "conjecture":
+    elif args.command == "conjecture":
         report = genbase.conjecture_scan(args.base, args.modulus, args.digit_class, args.k_max)
-        print(
-            _dump(
-                {
-                    "base": report.base,
-                    "modulus": report.modulus,
-                    "digit_class": report.digit_class,
-                    "k_max": _encode_int(report.k_max),
-                    "worst_k": _encode_int(report.worst_k),
-                    "worst_gap": _encode_int(report.worst_gap),
-                    "bound": _encode_int(report.bound),
-                    "violated": report.violated,
-                }
-            )
-        )
-        return 0
-    raise AssertionError(f"unhandled command {args.command}")
+        _emit(asdict(report))  # the report's field order is the payload's key order
+    else:
+        raise AssertionError(f"unhandled command {args.command}")
+    return 0
 
 
 def run(argv: Sequence[str] | None = None) -> int:

@@ -7,14 +7,11 @@ to a mod k whose own digit sum lands in the class. Both constructions carry
 explicit size bounds and are re-verified on every call.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 
 from . import oracle
-from .digitcore import sum_digits
-
-_log = logging.getLogger(__name__)
+from .digitcore import TheoremViolationError, sum_digits
 
 __all__ = [
     "GenBaseQuery",
@@ -92,7 +89,7 @@ def _pick_exponent(query: GenBaseQuery, target: int) -> int:
     for t in range(start, start + query.modulus):
         if (query.base - 1) * t % query.modulus == wanted:
             return t
-    raise AssertionError("coprimality guarantees a solution inside the window")
+    raise TheoremViolationError(f"no exponent in the window reaches class {wanted} for {query}")
 
 
 def prop_construct(query: GenBaseQuery) -> int:
@@ -106,7 +103,7 @@ def prop_construct(query: GenBaseQuery) -> int:
     t = _pick_exponent(query, query.digit_class)
     n = query.base**t - 1
     if sum_digits(query.base, query.k * n) % query.modulus != query.digit_class:
-        raise RuntimeError(f"construction broke its digit-class contract for {query}")
+        raise TheoremViolationError(f"construction broke its digit-class contract for {query}")
     return n
 
 
@@ -117,8 +114,7 @@ def corollary_construct(query: GenBaseQuery) -> int:
     base^(modulus+1) * k^3. The residue's digits sit wholly below the shifted
     block, so the exponent t is selected against digit_class minus the
     residue's digit sum. Selecting against the residue itself would only work
-    when the residue and its digit sum agree mod modulus; when the two
-    selections differ, the comparison is logged for the record.
+    when the residue and its digit sum agree mod modulus.
     """
     if query.residue is None:
         raise ValueError("corollary_construct needs a pinned residue")
@@ -130,20 +126,7 @@ def corollary_construct(query: GenBaseQuery) -> int:
         n % query.k != query.residue
         or sum_digits(query.base, n) % query.modulus != query.digit_class
     ):
-        raise RuntimeError(f"construction broke its contract for {query}")
-    literal_t = _pick_exponent(query, query.digit_class - query.residue)
-    if literal_t != t:
-        alternative = query.k * query.base**scale * (query.base**literal_t - 1) + query.residue
-        _log.debug(
-            "digit-sum selection t=%d gives n=%d; residue-literal selection t=%d "
-            "gives n=%d in class %d (wanted %d)",
-            t,
-            n,
-            literal_t,
-            alternative,
-            sum_digits(query.base, alternative) % query.modulus,
-            query.digit_class,
-        )
+        raise TheoremViolationError(f"construction broke its contract for {query}")
     return n
 
 

@@ -17,7 +17,6 @@ if TYPE_CHECKING:
 __all__ = [
     "f_exact",
     "zero_min",
-    "enumerate_hits",
     "min_weight_witness",
     "g_min",
 ]
@@ -62,19 +61,6 @@ def zero_min(k: int) -> int:
         if product.bit_count() & 1 == 0:
             return n
     raise TheoremViolationError(f"no even-weight multiple of k={k} up to n={limit}")
-
-
-def enumerate_hits(k: int, n_max: int) -> list[int]:
-    """Ascending list of every n <= n_max whose product with k has odd weight."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    hits = []
-    product = 0
-    for n in range(1, n_max + 1):
-        product += k
-        if product.bit_count() & 1:
-            hits.append(n)
-    return hits
 
 
 def _sparse_values(weight: int, bit_limit: int) -> Iterator[int]:

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 
 from . import oracle
 from .digitcore import TheoremViolationError, reduce_to_odd
-from .witness import CaseLabel, certify
+from .witness import CaseLabel, WitnessCertificate, certify
 
 _log = logging.getLogger(__name__)
 
@@ -36,11 +36,9 @@ __all__ = [
     "frequency",
     "emit_csv",
     "THEOREM_HEADER",
-    "FREQUENCY_HEADER",
 ]
 
 THEOREM_HEADER = ("k", "f", "gap", "case", "witness", "witness_weight", "zero_min", "flags")
-FREQUENCY_HEADER = ("k", "sample_count", "ones_numerator", "ones_denominator")
 
 
 @dataclass(frozen=True)
@@ -91,17 +89,22 @@ def _is_shifted_power(k: int) -> bool:
     return k >= 5 and (k - 1).bit_count() == 1
 
 
+def checked_least(k: int) -> tuple[int, WitnessCertificate]:
+    """f(k) by the oracle and k's certificate, once f(k) <= verified hit <= k_odd + 4 holds."""
+    certificate = certify(k)
+    least = oracle.f_exact(k)
+    if not least <= certificate.verified_hit <= certificate.k_odd + 4:
+        raise TheoremViolationError(
+            f"oracle and construction disagree at k={k}: {least} vs {certificate.verified_hit}"
+        )
+    return least, certificate
+
+
 def _core_results(cores: Sequence[int]) -> list[tuple[int, int, int]]:
     """(f, case value, zero_min) of each odd core, with the oracle checked against the construction."""
     results = []
     for core in cores:
-        certificate = certify(core)
-        least = oracle.f_exact(core)
-        if not least <= certificate.verified_hit <= core + 4:
-            raise TheoremViolationError(
-                f"oracle and construction disagree at k={core}: "
-                f"{least} vs {certificate.verified_hit}"
-            )
+        least, certificate = checked_least(core)
         results.append((least, certificate.case.value, oracle.zero_min(core)))
     return results
 
@@ -163,21 +166,24 @@ def _chunks(cores: Sequence[int]) -> list[Sequence[int]]:
 
 
 def _in_order(tasks: list[Sequence[int]], jobs: int) -> Iterator[list[tuple[int, int, int]]]:
-    """The core results of each task, in task order, from jobs worker processes.
+    """The core results of each task, in task order, from at most jobs worker processes.
 
-    Only about two tasks per worker are submitted ahead of the consumer, so
-    the results in flight stay bounded whatever the range and however far
-    the consumer lags.
+    A pool starts all its workers at the first submit, so it gets no more
+    workers than there are tasks, and a lone task runs in this process. Only
+    about two tasks per worker are submitted ahead of the consumer, so the
+    results in flight stay bounded whatever the range and however far the
+    consumer lags.
     """
-    if jobs == 1 or len(tasks) == 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         yield from map(_core_results, tasks)
         return
-    pool = ProcessPoolExecutor(max_workers=jobs)
+    pool = ProcessPoolExecutor(max_workers=workers)
     try:
         pending: deque = deque()
         for task in tasks:
             pending.append(pool.submit(_core_results, task))
-            if len(pending) > 2 * jobs:
+            if len(pending) > 2 * workers:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
@@ -365,18 +371,12 @@ def _scan_line(row: tuple) -> str:
     return "%d,%d,%d,%s,%d,%d,%d,%s\n" % (k, least, gap, case, hit, weight, zero, "|".join(flags))
 
 
-def _frequency_line(record: FrequencyRecord) -> str:
-    fraction = record.ones_frequency
-    return "%d,%d,%d,%d\n" % (record.k, record.sample_count, fraction.numerator, fraction.denominator)
-
-
 def emit_csv(records: Iterable, destination) -> None:
     """Write records as CSV: UTF-8, LF line endings, stable columns, no trailing whitespace.
 
-    records are ScanRecords, FrequencyRecords or the rows of scan_rows, and
-    are written as they are drawn, so a scan streams to the file. The header
-    and format follow the first record's type, with the scan header for an
-    empty iterable. No cell ever needs quoting, as each is an integer or an
+    records are ScanRecords or the rows of scan_rows, and are written as they
+    are drawn, so a scan streams to the file; an empty iterable gives the
+    header alone. No cell ever needs quoting, as each is an integer or an
     identifier, so lines are formatted directly. destination may be an open
     text handle or a path. A path to a regular file, or to none yet, is
     written through a temporary file beside the file it resolves to, which
@@ -388,13 +388,9 @@ def emit_csv(records: Iterable, destination) -> None:
     items = iter(records)
     first = next(items, None)
     rows = () if first is None else chain((first,), items)
-    if isinstance(first, FrequencyRecord):
-        header, lines = FREQUENCY_HEADER, map(_frequency_line, rows)
-    else:
-        if isinstance(first, ScanRecord):
-            rows = map(_record_row, rows)
-        header, lines = THEOREM_HEADER, map(_scan_line, rows)
-    lines = chain((",".join(header) + "\n",), lines)
+    if isinstance(first, ScanRecord):
+        rows = map(_record_row, rows)
+    lines = chain((",".join(THEOREM_HEADER) + "\n",), map(_scan_line, rows))
     if hasattr(destination, "write"):
         destination.writelines(lines)
         return

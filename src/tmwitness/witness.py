@@ -25,7 +25,6 @@ __all__ = [
     "classify",
     "construct_candidates",
     "certify",
-    "f_upper",
     "word_shape",
 ]
 
@@ -291,11 +290,6 @@ def certify(k: int) -> WitnessCertificate:
     raise TheoremViolationError(
         f"no constructed candidate {candidates} works for k_odd={k_odd} under {case.name}"
     )
-
-
-def f_upper(k: int) -> int:
-    """Constructive upper bound on the least odd-weight multiplier: the certificate's hit."""
-    return certify(k).verified_hit
 
 
 _SHAPELESS = (

@@ -258,6 +258,17 @@ def test_genbase_gcd_violation_is_usage_error(capsys):
     assert "gcd" in err
 
 
+@pytest.mark.parametrize("extra", [("--method", "construct"), ("--residue", "0")])
+def test_genbase_broken_construction_exits_3(capsys, monkeypatch, extra):
+    # no digit sum lands in class 1, so either construction breaks its contract
+    monkeypatch.setattr("tmwitness.genbase.sum_digits", lambda base, n: 0)
+    code, out, err = invoke(
+        capsys, "genbase", "--base", "2", "--mod", "2", "--class", "1", "--k", "3", *extra
+    )
+    assert (code, out) == (3, "")
+    assert "theorem violation" in err
+
+
 def test_genbase_violation_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("tmwitness.oracle.g_min", lambda query: 10**9)
     code, _, err = invoke(capsys, "genbase", "--base", "2", "--mod", "2", "--class", "1", "--k", "3")
@@ -273,6 +284,14 @@ def test_conjecture(capsys):
         '{"base":2,"modulus":2,"digit_class":1,"k_max":64,"worst_k":3,'
         '"worst_gap":4,"bound":8,"violated":false}\n'
     )
+
+
+def test_f_both_violation_exit_code(capsys, monkeypatch):
+    # f(1) = 1, so an oracle answer of 4 lies above the certificate's hit
+    monkeypatch.setattr("tmwitness.scanner.oracle.f_exact", lambda k: k + 3)
+    code, out, err = invoke(capsys, "f", "1", "--method", "both")
+    assert (code, out) == (3, "")
+    assert "oracle and construction disagree at k=1" in err
 
 
 def test_scan_violation_exit_code(capsys, monkeypatch):
@@ -343,3 +362,63 @@ def test_console_script_declared():
     with pyproject.open("rb") as handle:
         scripts = tomllib.load(handle)["project"]["scripts"]
     assert scripts == {"tmwitness": "tmwitness.cli:main"}
+
+
+_SAFE = 2**53 - 1
+_K80 = 2**80 + 1  # f(k) = k here, so it goes to constructive paths only
+_B53 = 2**53 + 1
+
+
+def _numbers(value):
+    if isinstance(value, dict):
+        return [n for item in value.values() for n in _numbers(item)]
+    if isinstance(value, list):
+        return [n for item in value for n in _numbers(item)]
+    return [value] if isinstance(value, int) and not isinstance(value, bool) else []
+
+
+@pytest.mark.parametrize(
+    "argv, strings",
+    [
+        (("tm", str(_K80)), [{"n": _K80}]),
+        (("sdigits", "--base", str(_B53), "5"), [{"base": _B53}]),
+        (("f", str(_K80), "--method", "constructive"), [{"k": _K80, "f": _K80}]),
+        (("zeromin", str(_K80)), [{"k": _K80}]),
+        (
+            ("scan", "--from", str(2**60), "--to", str(2**60), "--jobs", "1"),
+            [{"k": 2**60, "gap": 1 - 2**60}],
+        ),
+        (
+            ("scan", "--from", str(2**60 + 3), "--to", str(2**60 + 3), "--jobs", "1"),
+            [{"k": 2**60 + 3, "gap": -(2**60 + 2)}],
+        ),
+        (
+            ("weights", "--r-from", "60", "--r-to", "61", "--bit-limit", "6"),
+            [{"k": 3 * 2**60 + 3}, {"k": 3 * 2**61 + 3}],
+        ),
+        (("freq", "--k", str(_K80), "--samples", "5"), [{"k": _K80}]),
+        (
+            ("genbase", "--base", str(_B53), "--mod", "1", "--class", "0", "--k", "1"),
+            [{"base": _B53, "constructed": _B53 - 1}],
+        ),
+        (
+            ("conjecture", "--base", str(_B53), "--mod", "1", "--class", "0", "--max", "2"),
+            [{"base": _B53, "bound": _B53}],
+        ),
+    ],
+    ids=["tm", "sdigits", "f", "zeromin", "scan-even", "scan-odd", "weights", "freq", "genbase",
+         "conjecture"],
+)
+def test_every_command_strings_ints_past_2_to_53(capsys, argv, strings):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    payloads = [json.loads(line) for line in out.splitlines()]
+    assert len(payloads) == len(strings)
+    for payload, expected in zip(payloads, strings):
+        assert all(abs(number) <= _SAFE for number in _numbers(payload))
+        stringified = {
+            name: int(value)
+            for name, value in payload.items()
+            if isinstance(value, str) and value.lstrip("-").isdigit()
+        }
+        assert stringified == expected

@@ -1,10 +1,8 @@
 """Digit-class constructions in general bases and the conjecture gap scanner."""
 
-import logging
-
 import pytest
 
-from tmwitness.digitcore import sum_digits
+from tmwitness.digitcore import TheoremViolationError, sum_digits
 from tmwitness.genbase import (
     ConjectureReport,
     GenBaseQuery,
@@ -50,6 +48,14 @@ def test_prop_construct_examples():
     assert prop_construct(GenBaseQuery(2, 1, 0, 1)) == 1
 
 
+def test_exhausted_exponent_window_is_a_violation():
+    query = GenBaseQuery(2, 2, 1, 3)
+    # base 3 shares the factor 2 with the modulus, so no exponent reaches class 1
+    object.__setattr__(query, "base", 3)
+    with pytest.raises(TheoremViolationError, match="window"):
+        prop_construct(query)
+
+
 def test_prop_construct_rejects_residue_queries():
     with pytest.raises(ValueError):
         prop_construct(GenBaseQuery(2, 2, 1, 3, residue=0))
@@ -88,12 +94,6 @@ def test_corollary_selects_against_residue_digit_sum():
     literal = 12 * 10**2 * (10**3 - 1) + 11
     assert literal == 1198811
     assert sum_digits(10, literal) % 2 != 0
-
-
-def test_corollary_logs_when_selections_diverge(caplog):
-    with caplog.at_level(logging.DEBUG, logger="tmwitness.genbase"):
-        corollary_construct(GenBaseQuery(10, 2, 0, 12, residue=11))
-    assert any("residue-literal" in message for message in caplog.messages)
 
 
 def test_corollary_requires_residue():

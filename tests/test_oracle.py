@@ -1,4 +1,4 @@
-"""Brute-force oracle tests: exact minima, hit lists, sparse witnesses, digit classes."""
+"""Brute-force oracle tests: exact minima, sparse witnesses, digit classes."""
 
 import random
 
@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from tmwitness.digitcore import TheoremViolationError, thue_morse
 from tmwitness.genbase import GenBaseQuery
 from tmwitness.oracle import (
-    enumerate_hits,
     f_exact,
     g_min,
     min_weight_witness,
@@ -83,20 +82,6 @@ def test_zero_min_past_ceiling_raises(monkeypatch):
     monkeypatch.setattr("tmwitness.oracle._zero_ceiling", lambda k: 2)
     with pytest.raises(TheoremViolationError, match="k=1"):
         zero_min(1)
-
-
-def test_enumerate_hits_frozen():
-    assert enumerate_hits(3, 10) == [7]
-    assert enumerate_hits(1, 4) == [1, 2, 4]
-    assert enumerate_hits(7, 3) == [1, 2, 3]
-    assert enumerate_hits(3, 6) == []
-
-
-def test_enumerate_hits_matches_pointwise():
-    for k in (1, 3, 5, 12, 51):
-        hits = set(enumerate_hits(k, 500))
-        for n in range(1, 501):
-            assert (n in hits) == (thue_morse(k * n) == 1)
 
 
 def test_min_weight_witness_frozen():

@@ -4,6 +4,7 @@ import io
 import os
 import stat
 import threading
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import given, strategies as st
 from tmwitness import oracle
 from tmwitness.digitcore import TheoremViolationError, thue_morse
 from tmwitness.scanner import (
-    FREQUENCY_HEADER,
     THEOREM_HEADER,
     FrequencyRecord,
     ScanRecord,
@@ -106,6 +106,35 @@ def test_scan_matches_per_k_reference_for_every_jobs(monkeypatch, k_min, k_max):
     monkeypatch.setattr("tmwitness.scanner._CORE_CHUNK", 37)
     for jobs in (1, 2, 3):
         assert scan_theorem(k_min, k_max, jobs=jobs) == reference, jobs
+
+
+def test_pool_gets_no_more_workers_than_tasks(monkeypatch):
+    made = []
+
+    class InlinePool:
+        """Records max_workers and runs each task at submit, so no process starts."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def submit(self, function, *args):
+            future = Future()
+            future.set_result(function(*args))
+            return future
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr("tmwitness.scanner.ProcessPoolExecutor", InlinePool)
+    # cores 5, 11 and 21 below 40..44 are one task, and 41 and 43 another
+    assert scan_theorem(40, 44, jobs=16) == scan_theorem(40, 44)
+    assert made == [2]
+    # the 150 odd cores of 1..300 are one task, which needs no pool
+    assert scan_theorem(1, 300, jobs=16) == scan_theorem(1, 300)
+    assert made == [2]
+    monkeypatch.setattr("tmwitness.scanner._CORE_CHUNK", 37)
+    assert scan_theorem(1, 1000, jobs=3) == scan_theorem(1, 1000)
+    assert made == [2, 3]
 
 
 def test_parallel_scan_csv_byte_identical(tmp_path):
@@ -289,15 +318,6 @@ def test_emit_csv_multi_flag():
     assert buffer.getvalue().splitlines()[1] == (
         "99,103,4,Lemma1,103,5,102,GapEquals4|ZeroMinExceedsKplus2"
     )
-
-
-def test_emit_csv_frequency_records():
-    buffer = io.StringIO()
-    emit_csv([frequency(1, 4), frequency(3, 8)], buffer)
-    lines = buffer.getvalue().splitlines()
-    assert lines[0] == ",".join(FREQUENCY_HEADER)
-    assert lines[1] == "1,4,3,4"
-    assert lines[2] == "3,8,1,8"
 
 
 def test_emit_csv_deterministic(tmp_path):

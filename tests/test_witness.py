@@ -14,7 +14,6 @@ from tmwitness.witness import (
     certify,
     classify,
     construct_candidates,
-    f_upper,
     reduce_to_odd,
     word_shape,
 )
@@ -291,16 +290,19 @@ def test_triple_guarantee_is_sharp():
             assert thue_morse(k * n) == 0
 
 
+# f's constructive upper bound is the certificate's verified hit
+
+
 def test_f_upper_equals_f_upper_of_double():
     for k in range(1, 1 << 15):
-        assert f_upper(k) == f_upper(2 * k)
+        assert certify(k).verified_hit == certify(2 * k).verified_hit
 
 
 def test_f_upper_never_below_true_minimum():
     from tmwitness.oracle import f_exact
 
     for k in range(1, 1 << 12):
-        assert f_exact(k) <= f_upper(k) <= reduce_to_odd(k)[0] + 4
+        assert f_exact(k) <= certify(k).verified_hit <= reduce_to_odd(k)[0] + 4
 
 
 def test_word_shape_examples():
