@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
-from typing import Any, Sequence
+from typing import Sequence
 
 from . import genbase, oracle, scanner, witness
 from .digitcore import TheoremViolationError, reduce_to_odd, sum_digits, thue_morse
@@ -35,28 +35,28 @@ def _decode_int(value) -> int:
 _dump = json.JSONEncoder(separators=(",", ":")).encode
 
 
-def serialize_certificate(certificate: witness.WitnessCertificate) -> str:
-    """Stable-order JSON for a certificate.
+def _int_text(value: int) -> str:
+    return str(value) if abs(value) <= _JSON_SAFE_MAX else f'"{value}"'
 
-    Field order is fixed: k_input, k_odd, shift, case, params, candidates,
-    guarantee, verified_hit. The guarantee is the string "direct" for a
-    single-candidate claim or {"triple": m} with the pivot multiplier.
+
+def serialize_certificate(certificate: witness.WitnessCertificate) -> str:
+    """Compact JSON for any WitnessCertificate, consistent or not, in fixed field order.
+
+    k_input, k_odd, shift, case, params, candidates, guarantee ("direct" or
+    {"triple": m}), verified_hit. Ints but shift past 2^53 - 1 in size are strings.
+    Each is converted once: k_input reuses k_odd's text, the hit or pivot a
+    candidate's, on equal value. Past CPython's 4,300-digit int limit: ValueError.
     """
-    if certificate.triple_pivot is None:
-        guarantee: Any = "direct"
-    else:
-        guarantee = {"triple": _encode_int(certificate.triple_pivot)}
-    return _dump(
-        {
-            "k_input": _encode_int(certificate.k_input),
-            "k_odd": _encode_int(certificate.k_odd),
-            "shift": certificate.shift,
-            "case": certificate.case.name,
-            "params": {name: _encode_int(value) for name, value in certificate.params.items()},
-            "candidates": [_encode_int(c) for c in certificate.candidates],
-            "guarantee": guarantee,
-            "verified_hit": _encode_int(certificate.verified_hit),
-        }
+    c, values, pivot = certificate, certificate.candidates, certificate.triple_pivot
+    k_odd, texts = _int_text(c.k_odd), [_int_text(value) for value in values]
+    hit = texts[values.index(c.verified_hit)] if c.verified_hit in values else _int_text(c.verified_hit)
+    guarantee = '"direct"' if pivot is None else (
+        f'{{"triple":{texts[values.index(pivot)] if pivot in values else _int_text(pivot)}}}')
+    params = ",".join([f'"{name}":{_int_text(value)}' for name, value in c.params.items()])
+    return (
+        f'{{"k_input":{k_odd if c.k_input == c.k_odd else _int_text(c.k_input)},"k_odd":{k_odd},'
+        f'"shift":{c.shift},"case":"{c.case.name}","params":{{{params}}},'
+        f'"candidates":[{",".join(texts)}],"guarantee":{guarantee},"verified_hit":{hit}}}'
     )
 
 

@@ -132,10 +132,11 @@ def test_scan_jsonl(capsys):
     assert json.loads(lines[2])["flags"] == ["GapEquals4"]
 
 
-def test_scan_jobs_deterministic(capsys):
+def test_scan_jobs_deterministic(capsys, real_pools):
     one = invoke(capsys, "scan", "--from", "1", "--to", "60", "--jobs", "1")[1]
     four = invoke(capsys, "scan", "--from", "1", "--to", "60", "--jobs", "4")[1]
     assert one == four
+    assert real_pools == [4]
 
 
 def test_scan_jobs_default_follows_cpu_affinity(monkeypatch):

@@ -74,12 +74,15 @@ def test_scan_range_validation():
         scan_theorem(1, 5, jobs=0)
 
 
-def test_parallel_scan_equals_sequential():
+def test_parallel_scan_equals_sequential(real_pools):
     sequential = scan_theorem(1, 300)
+    assert real_pools == []
     assert scan_theorem(1, 300, jobs=4) == sequential
-    assert scan_theorem(1, 300, jobs=7) == sequential
-    # degenerate split: more jobs than elements falls back to one chunk
-    assert scan_theorem(40, 44, jobs=16) == scan_theorem(40, 44)
+    assert scan_theorem(1, 300, jobs=3) == sequential
+    # more jobs than tasks: 40..44 is two tasks (cores 5, 11, 21 below it,
+    # then 41, 43), so it gets two workers
+    assert scan_theorem(40, 44, jobs=4) == scan_theorem(40, 44)
+    assert real_pools == [4, 3, 2]
 
 
 def _reference_record(k):
@@ -137,12 +140,13 @@ def test_pool_gets_no_more_workers_than_tasks(monkeypatch):
     assert made == [2, 3]
 
 
-def test_parallel_scan_csv_byte_identical(tmp_path):
+def test_parallel_scan_csv_byte_identical(tmp_path, real_pools):
     a = tmp_path / "seq.csv"
     b = tmp_path / "par.csv"
     emit_csv(scan_theorem(1, 120), a)
     emit_csv(scan_theorem(1, 120, jobs=3), b)
     assert a.read_bytes() == b.read_bytes()
+    assert real_pools == [3]
 
 
 def test_scan_aborts_on_forbidden_gap(monkeypatch):

@@ -1,11 +1,13 @@
 """Classification, candidate construction, certification, and product word shapes."""
 
+import dataclasses
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmwitness.cli import serialize_certificate
+from tmwitness.cli import parse_certificate, serialize_certificate
 from tmwitness.digitcore import TheoremViolationError, run_decompose, thue_morse, to_word
 from tmwitness.witness import (
     _SHAPELESS,
@@ -230,6 +232,97 @@ def test_certificate_bytes_golden_per_case():
         assert serialize_certificate(cert) == line
         cases.add(cert.case)
     assert cases == set(CaseLabel)
+
+
+# certify(k) for k with a shift: a string k_input over a bare k_odd, and both
+# as strings
+GOLDEN_SHIFTED_CERTIFICATES = {
+    6: '{"k_input":6,"k_odd":3,"shift":1,"case":"AllOnesEvenLen","params":{"length":2},"candidates":[7],'
+    '"guarantee":"direct","verified_hit":7}',
+    3 << 60: '{"k_input":"3458764513820540928","k_odd":3,"shift":60,"case":"AllOnesEvenLen",'
+    '"params":{"length":2},"candidates":[7],"guarantee":"direct","verified_hit":7}',
+    ((1 << 80) + 1) << 3: '{"k_input":"9671406556917033397649416","k_odd":"1208925819614629174706177",'
+    '"shift":3,"case":"Lemma1","params":{"length":81,"tail_ones":1},'
+    '"candidates":["1208925819614629174706177"],"guarantee":"direct",'
+    '"verified_hit":"1208925819614629174706177"}',
+}
+
+
+@pytest.mark.parametrize("k", GOLDEN_SHIFTED_CERTIFICATES)
+def test_certificate_bytes_golden_with_shift(k):
+    assert serialize_certificate(certify(k)) == GOLDEN_SHIFTED_CERTIFICATES[k]
+
+
+def _reference_serialize(cert):
+    # the earlier encoder: a nested dict through JSONEncoder, each int past
+    # 2^53 - 1 in magnitude as a string
+    def encode(value):
+        return value if abs(value) <= 2**53 - 1 else str(value)
+
+    guarantee = "direct" if cert.triple_pivot is None else {"triple": encode(cert.triple_pivot)}
+    return json.JSONEncoder(separators=(",", ":")).encode(
+        {
+            "k_input": encode(cert.k_input),
+            "k_odd": encode(cert.k_odd),
+            "shift": cert.shift,
+            "case": cert.case.name,
+            "params": {name: encode(value) for name, value in cert.params.items()},
+            "candidates": [encode(c) for c in cert.candidates],
+            "guarantee": guarantee,
+            "verified_hit": encode(cert.verified_hit),
+        }
+    )
+
+
+def _assert_serializes_as_reference(cert):
+    text = serialize_certificate(cert)
+    assert text == _reference_serialize(cert)
+    assert parse_certificate(text) == cert
+
+
+_SHIFTS = st.integers(min_value=0, max_value=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_uniform_odd_words(), _SHIFTS)
+def test_serialize_matches_reference_on_uniform_words(k, shift):
+    _assert_serializes_as_reference(certify(k << shift))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_run_structured_words(), _SHIFTS)
+def test_serialize_matches_reference_on_run_structured_words(k, shift):
+    _assert_serializes_as_reference(certify(k << shift))
+
+
+# certificates no certify call makes: the encoder reuses a text only for an
+# equal value, never by position or by shift
+_BIG = 2**53
+INCONSISTENT_CERTIFICATES = {
+    "hit_not_a_candidate": dict(verified_hit=_BIG + 1),
+    "small_hit_not_a_candidate": dict(verified_hit=5),
+    "k_input_not_k_odd_shifted": dict(k_input=_BIG + 5),
+    "k_input_past_k_odd_with_shift_0": dict(k_input=177, shift=0),
+    "k_odd_past_2_to_53": dict(k_odd=_BIG + 3),
+    "pivot_past_2_to_53": dict(triple_pivot=_BIG),
+    "pivot_not_a_candidate": dict(triple_pivot=9),
+    "params_value_past_2_to_53": dict(params={"length": 6, "lead_ones": _BIG, "gap_zeros": 1, "tail_ones": 2}),
+    "negative_at_the_bound": dict(k_input=-(_BIG - 1), verified_hit=-_BIG),
+    "repeated_candidates": dict(candidates=(3, 3, _BIG), triple_pivot=_BIG, verified_hit=_BIG),
+}
+
+
+@pytest.mark.parametrize("fields", INCONSISTENT_CERTIFICATES.values(), ids=INCONSISTENT_CERTIFICATES.keys())
+def test_serialize_inconsistent_certificates_as_reference(fields):
+    _assert_serializes_as_reference(dataclasses.replace(certify(59), **fields))
+
+
+def test_serialize_raises_past_the_int_to_str_limit():
+    # CPython converts at most 4,300 digits by default; 15,000 bits are 4,516
+    cert = certify((1 << 15000) - 3)
+    for serialize in (serialize_certificate, _reference_serialize):
+        with pytest.raises(ValueError):
+            serialize(cert)
 
 
 def test_construct_examples():
