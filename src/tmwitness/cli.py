@@ -77,15 +77,28 @@ def parse_certificate(text: str) -> witness.WitnessCertificate:
     )
 
 
+def _integer(text: str) -> int:
+    """int(text), refusing an argument past CPython's digit limit by that reason, not by echoing it."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if 0 < limit < len(text):
+            raise argparse.ArgumentTypeError(
+                f"{len(text):,} characters; integer arguments are limited to {limit:,} digits"
+            ) from None
+        raise  # argparse reports "invalid <type> value: '<text>'"
+
+
 def _natural(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be positive")
     return value

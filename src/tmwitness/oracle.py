@@ -1,13 +1,13 @@
 """Brute-force searches that establish ground truth independently of any construction.
 
 Every search here walks candidates in strictly ascending order, so a returned
-value is the minimum by construction. The witness machinery is tested against
-this module, never the other way around.
+value is the minimum by construction. min_weight_witness walks only the odd
+candidates below a proven bound, since no other can be least. The witness
+machinery is tested against this module, never the other way around.
 """
 
-import heapq
 import math
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .digitcore import TheoremViolationError, reduce_to_odd, thue_morse
 
@@ -63,24 +63,22 @@ def zero_min(k: int) -> int:
     raise TheoremViolationError(f"no even-weight multiple of k={k} up to n={limit}")
 
 
-def _sparse_values(weight: int, bit_limit: int) -> Iterator[int]:
-    # ascending within the class: top bit outermost, recursing strictly below it
-    if weight == 1:
-        for position in range(bit_limit):
-            yield 1 << position
-        return
-    for top in range(weight - 1, bit_limit):
-        high = 1 << top
-        for rest in _sparse_values(weight - 1, top):
-            yield high | rest
-
-
 def min_weight_witness(k: int, weight_cap: int, n_bit_limit: int) -> int | None:
     """Least n below 2^n_bit_limit with at most weight_cap set bits and odd product weight.
 
-    Each weight class is streamed in increasing numeric order and the classes
-    are merged, so the first hit is the least sparse witness overall. Returns
-    None when no such multiplier exists below the bit limit.
+    The candidates are 1, then for d = 1, 2, ... the odd 2^d + 1 and
+    2^d + 2^e + 1 (1 <= e < d), in ascending order, so the first hit is the
+    least. Two facts leave every other n out without losing the least one:
+    - an even n is never least, as k * (n / 2) has the same weight;
+    - when 2^j divides a and k * b < 2^j, the products k * a and k * b do
+      not overlap, so k * (a + b) has weight s2(k * a) + s2(k * b).
+    With w = k.bit_length(), the second makes 2^d + 1 of even weight for
+    d >= w, and a hit 2^d + 2^e + 1 with e >= w, or with d > w + e, leaves
+    1, 2^(d-e) + 1 or 2^e + 1 as a smaller hit. So 2^d + 1 is tried only for
+    d < w, and 2^d + 2^e + 1 only for e < w and d < 2w.
+    Returns None when no such multiplier exists below the bit limit; once
+    n_bit_limit >= w for a cap of at most 2, or >= 2w for a cap of 3, None
+    means that no such multiplier exists at all.
     """
     if weight_cap not in (1, 2, 3):
         raise ValueError("weight cap must be 1, 2, or 3")
@@ -88,10 +86,17 @@ def min_weight_witness(k: int, weight_cap: int, n_bit_limit: int) -> int | None:
         raise ValueError("k must be positive")
     if n_bit_limit < 1:
         raise ValueError("bit limit must be positive")
-    streams = [_sparse_values(weight, n_bit_limit) for weight in range(1, weight_cap + 1)]
-    for n in heapq.merge(*streams):
-        if thue_morse(k * n):
-            return n
+    if thue_morse(k):
+        return 1
+    width = k.bit_length()
+    for d in range(1, min(n_bit_limit, (weight_cap - 1) * width)):
+        pair = (k << d) + k  # k * (2^d + 1); a shift and an add cost a quarter of a product at 4,000 bits
+        if d < width and thue_morse(pair):
+            return (1 << d) | 1
+        if weight_cap == 3:
+            for e in range(1, min(d, width)):
+                if thue_morse(pair + (k << e)):
+                    return (1 << d) | (1 << e) | 1
     return None
 
 

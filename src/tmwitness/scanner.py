@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import xor
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import oracle
 from .digitcore import TheoremViolationError, reduce_to_odd
@@ -38,21 +38,20 @@ __all__ = [
     "THEOREM_HEADER",
 ]
 
-THEOREM_HEADER = ("k", "f", "gap", "case", "witness", "witness_weight", "zero_min", "flags")
-
-
-@dataclass(frozen=True)
-class ScanRecord:
-    """Per-k verification row: least witness, its gap over k, case, and findings."""
+class ScanRecord(NamedTuple):
+    """Per-k verification row: least witness, its gap over k, case by name, and sorted flags."""
 
     k: int
     f: int
     gap: int
-    case: CaseLabel
+    case: str
     witness: int
     witness_weight: int
     zero_min: int
-    flags: frozenset[str]
+    flags: tuple[str, ...]
+
+
+THEOREM_HEADER = ScanRecord._fields
 
 
 @dataclass(frozen=True)
@@ -194,8 +193,8 @@ def _in_order(tasks: list[Sequence[int]], jobs: int) -> Iterator[list[tuple[int,
 def scan_rows(k_min: int, k_max: int, jobs: int = 1) -> Iterator[tuple]:
     """One verified row per k in ascending order, yielded as the rows are made.
 
-    A row holds THEOREM_HEADER's fields in order: the case by name and the
-    flags as a sorted tuple, empty when there are none.
+    A row is a plain tuple of ScanRecord's fields, cheaper to build than a
+    ScanRecord; its flags are empty when there are none.
     Since s2(2m) = s2(m), an even k has its odd core's f, case and zero_min,
     so the oracles and certify run once per odd core: cores at or above k_min
     as the scan reaches them, and the cores below k_min that some even k in
@@ -245,10 +244,7 @@ def _rows(k_min: int, k_max: int, below: Sequence[int], results: Iterator) -> It
 
 def scan_theorem(k_min: int, k_max: int, jobs: int = 1) -> list[ScanRecord]:
     """The rows of scan_rows as ScanRecords, in a list."""
-    return [
-        ScanRecord(k, f, gap, CaseLabel[case], hit, weight, zero, frozenset(flags))
-        for k, f, gap, case, hit, weight, zero, flags in scan_rows(k_min, k_max, jobs)
-    ]
+    return list(map(ScanRecord._make, scan_rows(k_min, k_max, jobs)))
 
 
 def scan_weight_family(exponent_min: int, exponent_max: int, bit_limit: int) -> list[WeightFamilyRecord]:
@@ -256,7 +252,9 @@ def scan_weight_family(exponent_min: int, exponent_max: int, bit_limit: int) -> 
 
     Every product of such a k with a sparse n below 2^bit_limit is expected
     to have even weight; a hit is returned as a counterexample in the record,
-    never raised.
+    never raised. Once bit_limit is at least k's width, exponent + 2, a None
+    counterexample means that no such n exists at all: past that width,
+    k * (2^d + 1) is two copies of k that do not overlap, of even weight.
     """
     if exponent_min < 4:
         raise ValueError("the family starts at exponent 4")
@@ -353,19 +351,6 @@ def frequency(k: int, sample_count: int) -> FrequencyRecord:
     return FrequencyRecord(k, sample_count, Fraction(hits, sample_count))
 
 
-def _record_row(record: ScanRecord) -> tuple:
-    return (
-        record.k,
-        record.f,
-        record.gap,
-        record.case.name,
-        record.witness,
-        record.witness_weight,
-        record.zero_min,
-        tuple(sorted(record.flags)),
-    )
-
-
 def _scan_line(row: tuple) -> str:
     k, least, gap, case, hit, weight, zero, flags = row
     return "%d,%d,%d,%s,%d,%d,%d,%s\n" % (k, least, gap, case, hit, weight, zero, "|".join(flags))
@@ -374,23 +359,18 @@ def _scan_line(row: tuple) -> str:
 def emit_csv(records: Iterable, destination) -> None:
     """Write records as CSV: UTF-8, LF line endings, stable columns, no trailing whitespace.
 
-    records are ScanRecords or the rows of scan_rows, and are written as they
-    are drawn, so a scan streams to the file; an empty iterable gives the
-    header alone. No cell ever needs quoting, as each is an integer or an
-    identifier, so lines are formatted directly. destination may be an open
-    text handle or a path. A path to a regular file, or to none yet, is
+    records are ScanRecords or the rows of scan_rows, plain tuples of the same
+    fields, and are written as they are drawn, so a scan streams to the file;
+    an empty iterable gives the header alone. No cell ever needs quoting, as
+    each is an integer or an identifier, so lines are formatted directly.
+    destination may be an open text handle or a path. A path to a regular file, or to none yet, is
     written through a temporary file beside the file it resolves to, which
     replaces that file, with its mode, only once every record is written, so
     a run that raises leaves it as it was and a symlink to it stays a
     symlink. Any other path, such as a FIFO or /dev/stdout, is written
     through as it is. Equal inputs produce byte-identical files.
     """
-    items = iter(records)
-    first = next(items, None)
-    rows = () if first is None else chain((first,), items)
-    if isinstance(first, ScanRecord):
-        rows = map(_record_row, rows)
-    lines = chain((",".join(THEOREM_HEADER) + "\n",), map(_scan_line, rows))
+    lines = chain((",".join(THEOREM_HEADER) + "\n",), map(_scan_line, records))
     if hasattr(destination, "write"):
         destination.writelines(lines)
         return

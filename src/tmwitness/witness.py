@@ -209,18 +209,15 @@ def construct_candidates(
             return (k_odd + 4,), None
         if case is CaseLabel.Lemma1:
             return (2 ** (width - 1) + 1,), None
-        if case is CaseLabel.Lemma2_rLtU:
+        if case in (CaseLabel.Lemma2_rLtU, CaseLabel.Lemma3_rLtU):
             return (2 ** (width - params["lead_ones"] - 1) + 1,), None
-        if case is CaseLabel.Lemma2_rGtU:
+        if case in (CaseLabel.Lemma2_rGtU, CaseLabel.Lemma2_vEven_uGe4):
             tail = params["tail_ones"]
             return (1, 3, 2 ** (width - tail) + 2 ** (width - tail - 1) + 1), 3
         if case is CaseLabel.Lemma2_Palindrome:
             return (3,), None
-        if case is CaseLabel.Lemma2_vOdd:
+        if case in (CaseLabel.Lemma2_vOdd, CaseLabel.Lemma3_rGtU):
             return (2 ** (width - params["tail_ones"] - 1) + 1,), None
-        if case is CaseLabel.Lemma2_vEven_uGe4:
-            tail = params["tail_ones"]
-            return (1, 3, 2 ** (width - tail) + 2 ** (width - tail - 1) + 1), 3
         if case is CaseLabel.Lemma2_u2_U4_1101:
             return (2 ** (width - 4) + 1,), None
         if case is CaseLabel.Lemma2_u2_U5_11000:
@@ -228,10 +225,6 @@ def construct_candidates(
         if case is CaseLabel.Lemma2_u2_U5_11001:
             # n = 5 * 2^(width-5) + 1, so k*n = 5k * 2^(width-5) + k
             return (1, 5, 2 ** (width - 3) + 2 ** (width - 5) + 1), 5
-        if case is CaseLabel.Lemma3_rLtU:
-            return (2 ** (width - params["lead_ones"] - 1) + 1,), None
-        if case is CaseLabel.Lemma3_rGtU:
-            return (2 ** (width - params["tail_ones"] - 1) + 1,), None
         if case is CaseLabel.Lemma4:
             tail = params["tail_ones"]
             pivot = 2 ** (tail - 1) + 1

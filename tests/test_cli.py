@@ -332,6 +332,22 @@ def test_usage_errors(capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [["witness"], ["tm"], ["scan", "--from", "1", "--to"]])
+def test_argument_past_the_digit_limit_is_refused_briefly(capsys, argv):
+    # 2^15000 - 1 has 4,516 decimal digits, past CPython's int-from-text limit
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = str(2**15000 - 1)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    code, out, err = invoke(capsys, *argv, text)
+    assert (code, out) == (2, "")
+    assert len(err.encode()) < 300
+    assert text[:20] not in err
+    assert f"limited to {limit:,} digits" in err
+
+
 def module_process(*argv):
     """Run `python -m tmwitness` in a fresh process on the package under test."""
     source_root = str(Path(tmwitness.__file__).resolve().parent.parent)

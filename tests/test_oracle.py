@@ -1,10 +1,12 @@
 """Brute-force oracle tests: exact minima, sparse witnesses, digit classes."""
 
+import heapq
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from tmwitness import oracle
 from tmwitness.digitcore import TheoremViolationError, thue_morse
 from tmwitness.genbase import GenBaseQuery
 from tmwitness.oracle import (
@@ -120,6 +122,70 @@ def test_min_weight_witness_exists_below_k_plus_4():
         got = min_weight_witness(k, 3, 13)
         assert got is not None
         assert got <= k + 4
+
+
+def _sparse_values(weight, bit_limit):
+    # ascending within the class: top bit outermost, recursing strictly below it
+    if weight == 1:
+        for position in range(bit_limit):
+            yield 1 << position
+        return
+    for top in range(weight - 1, bit_limit):
+        high = 1 << top
+        for rest in _sparse_values(weight - 1, top):
+            yield high | rest
+
+
+def _reference_min_weight_witness(k, weight_cap, n_bit_limit):
+    """The former search: every value of each weight class, classes merged in ascending order."""
+    streams = [_sparse_values(weight, n_bit_limit) for weight in range(1, weight_cap + 1)]
+    for n in heapq.merge(*streams):
+        if thue_morse(k * n):
+            return n
+    return None
+
+
+@given(
+    st.integers(min_value=1, max_value=(1 << 14) - 1),
+    st.sampled_from((1, 2, 3)),
+    st.integers(min_value=1, max_value=40),
+)
+def test_min_weight_witness_matches_reference(k, cap, bit_limit):
+    assert min_weight_witness(k, cap, bit_limit) == _reference_min_weight_witness(k, cap, bit_limit)
+
+
+def test_min_weight_witness_matches_reference_on_small_grid():
+    for k in range(1, 1 << 12):
+        for cap in (1, 2, 3):
+            for bit_limit in (1, 2, 3, 5, 8, 13, 24):
+                want = _reference_min_weight_witness(k, cap, bit_limit)
+                assert min_weight_witness(k, cap, bit_limit) == want, (k, cap, bit_limit)
+
+
+def test_min_weight_witness_stops_at_the_width(monkeypatch):
+    # no weight-2 hit exists for 3 * 2^r + 3, so only the bound ends the search:
+    # n = 1 and 2^d + 1 for d < w are w products, whatever the bit limit
+    k = 3 * 2**4000 + 3
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        if len(calls) > k.bit_length() + 2:
+            raise AssertionError("searched past the proven bound")
+        return thue_morse(n)
+
+    monkeypatch.setattr(oracle, "thue_morse", counted)
+    assert min_weight_witness(k, 2, 10**9) is None
+    assert len(calls) == k.bit_length()
+
+
+def test_min_weight_witness_cap_three_on_the_family():
+    # the least weight-3 witness of 3 * 2^r + 3, found below 2^(2w) by both searches
+    for exponent in (4, 20, 60):
+        k = 3 * 2**exponent + 3
+        want = _reference_min_weight_witness(k, 3, 2 * k.bit_length())
+        assert want is not None and want.bit_count() == 3
+        assert min_weight_witness(k, 3, 10**9) == want
 
 
 def test_g_min_frozen():

@@ -22,7 +22,7 @@ from tmwitness.scanner import (
     scan_theorem,
     scan_weight_family,
 )
-from tmwitness.witness import CaseLabel, certify
+from tmwitness.witness import certify
 
 F_TABLE = [1, 1, 7, 1, 5, 7, 1, 1, 9, 5, 1, 7, 1, 1, 19, 1, 17, 9, 1, 5]
 
@@ -36,19 +36,19 @@ def test_scan_reproduces_first_twenty():
 def test_scan_single_k_flags():
     (fifteen,) = scan_theorem(15, 15)
     assert fifteen.gap == 4
-    assert fifteen.flags == frozenset({"GapEquals4"})
+    assert fifteen.flags == ("GapEquals4",)
 
     (six,) = scan_theorem(6, 6)
     assert six.gap == 1
-    assert six.flags == frozenset({"GapEquals1"})
+    assert six.flags == ("GapEquals1",)
 
     (one,) = scan_theorem(1, 1)
     assert one.gap == 0
-    assert one.flags == frozenset({"GapEquals0"})
+    assert one.flags == ("GapEquals0",)
 
     (two,) = scan_theorem(2, 2)
     assert two.gap == -1
-    assert two.flags == frozenset()
+    assert two.flags == ()
 
 
 def test_scan_record_fields_for_three():
@@ -57,11 +57,11 @@ def test_scan_record_fields_for_three():
         k=3,
         f=7,
         gap=4,
-        case=CaseLabel.AllOnesEvenLen,
+        case="AllOnesEvenLen",
         witness=7,
         witness_weight=3,
         zero_min=1,
-        flags=frozenset({"GapEquals4"}),
+        flags=("GapEquals4",),
     )
 
 
@@ -94,7 +94,8 @@ def _reference_record(k):
     flags = {4: {"GapEquals4"}, 1: {"GapEquals1"}, 0: {"GapEquals0"}}.get(least - k, set())
     if zero > k + 2:
         flags.add("ZeroMinExceedsKplus2")
-    return ScanRecord(k, least, least - k, certificate.case, least, least.bit_count(), zero, frozenset(flags))
+    case = certificate.case.name
+    return ScanRecord(k, least, least - k, case, least, least.bit_count(), zero, tuple(sorted(flags)))
 
 
 @pytest.mark.parametrize(
@@ -204,6 +205,14 @@ def test_weight_family_tiny_bit_limit_vacuous():
     assert record.counterexample is None
 
 
+def test_weight_family_exact_through_a_thousand():
+    # a bit limit of at least k's width makes None mean no sparse witness at all
+    width = (3 * 2**1000 + 3).bit_length()
+    records = scan_weight_family(4, 1000, width)
+    assert [record.exponent for record in records] == list(range(4, 1001))
+    assert all(record.counterexample is None for record in records)
+
+
 def test_weight_family_starts_at_four():
     with pytest.raises(ValueError):
         scan_weight_family(3, 6, 32)
@@ -311,11 +320,11 @@ def test_emit_csv_multi_flag():
         k=99,
         f=103,
         gap=4,
-        case=CaseLabel.Lemma1,
+        case="Lemma1",
         witness=103,
         witness_weight=5,
         zero_min=102,
-        flags=frozenset({"ZeroMinExceedsKplus2", "GapEquals4"}),
+        flags=("GapEquals4", "ZeroMinExceedsKplus2"),
     )
     buffer = io.StringIO()
     emit_csv([synthetic], buffer)
