@@ -23,20 +23,24 @@ __all__ = ["run", "main", "serialize_certificate", "parse_certificate"]
 _JSON_SAFE_MAX = 2**53 - 1
 
 
-def _encode_int(value: int):
-    return value if abs(value) <= _JSON_SAFE_MAX else str(value)
-
-
 def _decode_int(value) -> int:
     return int(value) if isinstance(value, str) else value
 
 
-# one compact encoder for every payload; json.dumps would build a new one per call
+# one compact encoder for every value but an int; json.dumps would build a new one per call
 _dump = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _int_text(value: int) -> str:
     return str(value) if abs(value) <= _JSON_SAFE_MAX else f'"{value}"'
+
+
+def _object(pairs) -> str:
+    """Flat JSON object of identifier-named pairs: ints (not bools) by _int_text, the rest by _dump."""
+    # type(v) is int, not isinstance: a bool is an int, and the check is cheaper
+    return "{" + ",".join([
+        f'"{name}":{_int_text(v) if type(v) is int else _dump(v)}' for name, v in pairs
+    ]) + "}"
 
 
 def serialize_certificate(certificate: witness.WitnessCertificate) -> str:
@@ -52,10 +56,9 @@ def serialize_certificate(certificate: witness.WitnessCertificate) -> str:
     hit = texts[values.index(c.verified_hit)] if c.verified_hit in values else _int_text(c.verified_hit)
     guarantee = '"direct"' if pivot is None else (
         f'{{"triple":{texts[values.index(pivot)] if pivot in values else _int_text(pivot)}}}')
-    params = ",".join([f'"{name}":{_int_text(value)}' for name, value in c.params.items()])
     return (
         f'{{"k_input":{k_odd if c.k_input == c.k_odd else _int_text(c.k_input)},"k_odd":{k_odd},'
-        f'"shift":{c.shift},"case":"{c.case.name}","params":{{{params}}},'
+        f'"shift":{c.shift},"case":"{c.case.name}","params":{_object(c.params.items())},'
         f'"candidates":[{",".join(texts)}],"guarantee":{guarantee},"verified_hit":{hit}}}'
     )
 
@@ -123,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("n", type=_natural)
 
     cmd = sub.add_parser("sdigits", help="digit sum of n in a base")
-    cmd.add_argument("--base", type=int, required=True)
+    cmd.add_argument("--base", type=_integer, required=True)
     cmd.add_argument("n", type=_natural)
 
     cmd = sub.add_parser("f", help="least n whose product with k has odd weight")
@@ -149,8 +152,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--jobs", type=_positive, default=_usable_cpus())
 
     cmd = sub.add_parser("weights", help="sparse-multiplier sweep over k = 3*2^r + 3")
-    cmd.add_argument("--r-from", dest="exponent_min", type=int, required=True)
-    cmd.add_argument("--r-to", dest="exponent_max", type=int, required=True)
+    cmd.add_argument("--r-from", dest="exponent_min", type=_integer, required=True)
+    cmd.add_argument("--r-to", dest="exponent_max", type=_integer, required=True)
     cmd.add_argument("--bit-limit", dest="bit_limit", type=_positive, required=True)
 
     cmd = sub.add_parser("freq", help="exact hit frequency over an initial segment")
@@ -158,28 +161,24 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--samples", type=_positive, required=True)
 
     cmd = sub.add_parser("genbase", help="digit-class witness in an arbitrary base")
-    cmd.add_argument("--base", type=int, required=True)
-    cmd.add_argument("--mod", dest="modulus", type=int, required=True)
-    cmd.add_argument("--class", dest="digit_class", type=int, required=True)
+    cmd.add_argument("--base", type=_integer, required=True)
+    cmd.add_argument("--mod", dest="modulus", type=_integer, required=True)
+    cmd.add_argument("--class", dest="digit_class", type=_integer, required=True)
     cmd.add_argument("--k", type=_positive, required=True)
-    cmd.add_argument("--residue", type=int, default=None)
+    cmd.add_argument("--residue", type=_integer, default=None)
     cmd.add_argument("--method", choices=("construct", "oracle", "both"), default=None)
 
     cmd = sub.add_parser("conjecture", help="scan the witness gap against the heuristic bound")
-    cmd.add_argument("--base", type=int, required=True)
-    cmd.add_argument("--mod", dest="modulus", type=int, required=True)
-    cmd.add_argument("--class", dest="digit_class", type=int, required=True)
+    cmd.add_argument("--base", type=_integer, required=True)
+    cmd.add_argument("--mod", dest="modulus", type=_integer, required=True)
+    cmd.add_argument("--class", dest="digit_class", type=_integer, required=True)
     cmd.add_argument("--max", dest="k_max", type=_positive, required=True)
 
     return parser
 
 
 def _emit(payload: dict) -> None:
-    """Print a flat payload as one compact JSON line, each int past 2^53 - 1 as a string.
-
-    bools and None pass through: _encode_int returns a bool as it is.
-    """
-    print(_dump({name: _encode_int(v) if isinstance(v, int) else v for name, v in payload.items()}))
+    print(_object(payload.items()))
 
 
 def _run_f(args) -> int:
@@ -245,9 +244,8 @@ def _dispatch(args) -> int:
         if args.csv_path:
             scanner.emit_csv(rows, args.csv_path)
         else:
-            # the flags tuple encodes as a JSON array
             for row in rows:
-                _emit(dict(zip(scanner.THEOREM_HEADER, row)))
+                print(_object(zip(scanner.THEOREM_HEADER, row)))
     elif args.command == "weights":
         for record in scanner.scan_weight_family(args.exponent_min, args.exponent_max, args.bit_limit):
             _emit({"r": record.exponent, "k": record.k, "counterexample": record.counterexample})

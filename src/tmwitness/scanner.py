@@ -256,8 +256,8 @@ def scan_weight_family(exponent_min: int, exponent_max: int, bit_limit: int) -> 
     counterexample means that no such n exists at all: past that width,
     k * (2^d + 1) is two copies of k that do not overlap, of even weight.
     """
-    if exponent_min < 4:
-        raise ValueError("the family starts at exponent 4")
+    if not 4 <= exponent_min <= exponent_max:  # the family starts at exponent 4
+        raise ValueError("need 4 <= exponent_min <= exponent_max")
     records = []
     for exponent in range(exponent_min, exponent_max + 1):
         k = 3 * 2**exponent + 3

@@ -7,12 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tmwitness
-from tmwitness import scanner
+from tmwitness import cli, scanner
 from tmwitness.cli import _build_parser, parse_certificate, run, serialize_certificate
 from tmwitness.digitcore import TheoremViolationError
-from tmwitness.witness import certify
+from tmwitness.witness import CaseLabel, certify
 
 
 def invoke(capsys, *argv):
@@ -130,6 +131,22 @@ def test_scan_jsonl(capsys):
         "flags": ["GapEquals0"],
     }
     assert json.loads(lines[2])["flags"] == ["GapEquals4"]
+
+
+def test_scan_jsonl_exact_bytes(capsys):
+    # negative gaps and empty flag arrays, byte for byte
+    assert invoke(capsys, "scan", "--from", "1", "--to", "8", "--jobs", "1") == (
+        0,
+        '{"k":1,"f":1,"gap":0,"case":"AllOnesOddLen","witness":1,"witness_weight":1,"zero_min":3,"flags":["GapEquals0"]}\n'
+        '{"k":2,"f":1,"gap":-1,"case":"AllOnesOddLen","witness":1,"witness_weight":1,"zero_min":3,"flags":[]}\n'
+        '{"k":3,"f":7,"gap":4,"case":"AllOnesEvenLen","witness":7,"witness_weight":3,"zero_min":1,"flags":["GapEquals4"]}\n'
+        '{"k":4,"f":1,"gap":-3,"case":"AllOnesOddLen","witness":1,"witness_weight":1,"zero_min":3,"flags":[]}\n'
+        '{"k":5,"f":5,"gap":0,"case":"Lemma1","witness":5,"witness_weight":2,"zero_min":1,"flags":["GapEquals0"]}\n'
+        '{"k":6,"f":7,"gap":1,"case":"AllOnesEvenLen","witness":7,"witness_weight":3,"zero_min":1,"flags":["GapEquals1"]}\n'
+        '{"k":7,"f":1,"gap":-6,"case":"AllOnesOddLen","witness":1,"witness_weight":1,"zero_min":9,"flags":[]}\n'
+        '{"k":8,"f":1,"gap":-7,"case":"AllOnesOddLen","witness":1,"witness_weight":1,"zero_min":3,"flags":[]}\n',
+        "",
+    )
 
 
 def test_scan_jobs_deterministic(capsys, real_pools):
@@ -325,6 +342,7 @@ def test_dud_candidate_exit_code(capsys, monkeypatch, argv):
         ["freq", "--k", "1", "--samples", "0"],
         ["nonsense"],
         ["f", "3", "--unknown-flag"],
+        ["weights", "--r-from", "10", "--r-to", "5", "--bit-limit", "8"],
     ],
 )
 def test_usage_errors(capsys, argv):
@@ -332,7 +350,25 @@ def test_usage_errors(capsys, argv):
     assert code == 2
 
 
-@pytest.mark.parametrize("argv", [["witness"], ["tm"], ["scan", "--from", "1", "--to"]])
+# None marks where the huge argument goes
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", None],
+        ["tm", None],
+        ["scan", "--from", "1", "--to", None],
+        ["sdigits", "--base", None, "5"],
+        ["weights", "--r-from", None, "--r-to", "5", "--bit-limit", "8"],
+        ["weights", "--r-from", "4", "--r-to", None, "--bit-limit", "8"],
+        ["genbase", "--base", None, "--mod", "2", "--class", "1", "--k", "7"],
+        ["genbase", "--base", "10", "--mod", None, "--class", "1", "--k", "7"],
+        ["genbase", "--base", "10", "--mod", "2", "--class", None, "--k", "7"],
+        ["genbase", "--base", "10", "--mod", "2", "--class", "1", "--k", "7", "--residue", None],
+        ["conjecture", "--base", None, "--mod", "2", "--class", "1", "--max", "64"],
+        ["conjecture", "--base", "2", "--mod", None, "--class", "1", "--max", "64"],
+        ["conjecture", "--base", "2", "--mod", "2", "--class", None, "--max", "64"],
+    ],
+)
 def test_argument_past_the_digit_limit_is_refused_briefly(capsys, argv):
     # 2^15000 - 1 has 4,516 decimal digits, past CPython's int-from-text limit
     limit = sys.get_int_max_str_digits()
@@ -341,7 +377,7 @@ def test_argument_past_the_digit_limit_is_refused_briefly(capsys, argv):
         text = str(2**15000 - 1)
     finally:
         sys.set_int_max_str_digits(limit)
-    code, out, err = invoke(capsys, *argv, text)
+    code, out, err = invoke(capsys, *[text if arg is None else arg for arg in argv])
     assert (code, out) == (2, "")
     assert len(err.encode()) < 300
     assert text[:20] not in err
@@ -384,6 +420,33 @@ def test_console_script_declared():
 _SAFE = 2**53 - 1
 _K80 = 2**80 + 1  # f(k) = k here, so it goes to constructive paths only
 _B53 = 2**53 + 1
+
+
+def _encode_int(value: int):
+    return value if abs(value) <= _SAFE else str(value)
+
+
+def _reference_emit(payload: dict) -> str:
+    """The flat-payload emitter before cli._object: ints past 2^53 - 1 as strings, then JSONEncoder."""
+    return json.JSONEncoder(separators=(",", ":")).encode(
+        {name: _encode_int(v) if isinstance(v, int) else v for name, v in payload.items()}
+    )
+
+
+_EDGES = [sign * (2**53 + offset) for sign in (1, -1) for offset in (-2, -1, 0, 1, 2)]
+_PAYLOAD_VALUES = st.one_of(
+    st.sampled_from([0, *_EDGES]),
+    st.integers(-(2**200), 2**200),
+    st.sampled_from([None, True, False]),
+    st.sampled_from([case.name for case in CaseLabel]),
+    st.lists(st.sampled_from(["GapEquals0", "GapEquals1", "GapEquals4"]), max_size=3).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.from_regex(r"[a-z_][a-z0-9_]{0,11}", fullmatch=True), _PAYLOAD_VALUES))
+def test_object_matches_reference_emitter(payload):
+    assert cli._object(payload.items()) == _reference_emit(payload)
 
 
 def _numbers(value):

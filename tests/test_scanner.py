@@ -218,6 +218,11 @@ def test_weight_family_starts_at_four():
         scan_weight_family(3, 6, 32)
 
 
+def test_weight_family_refuses_a_reversed_range():
+    with pytest.raises(ValueError, match="exponent_min <= exponent_max"):
+        scan_weight_family(10, 5, 8)
+
+
 def test_weight_family_reports_planted_counterexample(monkeypatch):
     monkeypatch.setattr("tmwitness.scanner.oracle.min_weight_witness", lambda k, cap, bits: 33)
     records = scan_weight_family(4, 5, 32)
