@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Sequence
 
 from . import genbase, oracle, scanner, witness
@@ -90,7 +89,7 @@ def _integer(text: str) -> int:
             raise argparse.ArgumentTypeError(
                 f"{len(text):,} characters; integer arguments are limited to {limit:,} digits"
             ) from None
-        raise  # argparse reports "invalid <type> value: '<text>'"
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def _natural(text: str) -> int:
@@ -264,7 +263,7 @@ def _dispatch(args) -> int:
         return _run_genbase(args)
     elif args.command == "conjecture":
         report = genbase.conjecture_scan(args.base, args.modulus, args.digit_class, args.k_max)
-        _emit(asdict(report))  # the report's field order is the payload's key order
+        _emit(report._asdict())  # the report's field order is the payload's key order
     else:
         raise AssertionError(f"unhandled command {args.command}")
     return 0

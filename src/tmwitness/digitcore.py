@@ -11,7 +11,7 @@ word transparently.
 """
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "TheoremViolationError",
@@ -99,8 +99,7 @@ def upper_slice(k: int, j: int) -> str:
     return word[:j]
 
 
-@dataclass(frozen=True)
-class RunDecomposition:
+class RunDecomposition(NamedTuple):
     """Maximal runs of equal bits of an odd integer's word, leading run first.
 
     The word of an odd integer starts and ends with a ones-run, so the run

@@ -9,6 +9,7 @@ explicit size bounds and are re-verified on every call.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import oracle
 from .digitcore import TheoremViolationError, sum_digits
@@ -55,8 +56,7 @@ class GenBaseQuery:
             raise ValueError("residue must lie in [0, k)")
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Worst observed gap between the least digit-class witness and k over a range.
 
     bound is base^(modulus + digit_class) with the class already normalized;
@@ -148,13 +148,4 @@ def conjecture_scan(base: int, modulus: int, digit_class: int, k_max: int) -> Co
             worst_gap, worst_k = gap, k
     bound = base ** (modulus + wanted)
     assert worst_gap is not None
-    return ConjectureReport(
-        base=base,
-        modulus=modulus,
-        digit_class=wanted,
-        k_max=k_max,
-        worst_k=worst_k,
-        worst_gap=worst_gap,
-        bound=bound,
-        violated=worst_gap > bound,
-    )
+    return ConjectureReport(base, modulus, wanted, k_max, worst_k, worst_gap, bound, worst_gap > bound)

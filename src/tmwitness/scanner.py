@@ -14,7 +14,6 @@ from bisect import bisect_left
 from collections import deque
 from contextlib import suppress
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import xor
@@ -54,8 +53,7 @@ class ScanRecord(NamedTuple):
 THEOREM_HEADER = ScanRecord._fields
 
 
-@dataclass(frozen=True)
-class WeightFamilyRecord:
+class WeightFamilyRecord(NamedTuple):
     """Sparse-multiplier sweep result for one member k = 3 * 2^exponent + 3."""
 
     exponent: int
@@ -63,8 +61,7 @@ class WeightFamilyRecord:
     counterexample: int | None
 
 
-@dataclass(frozen=True)
-class FrequencyRecord:
+class FrequencyRecord(NamedTuple):
     """Exact fraction of multipliers up to sample_count whose product has odd weight."""
 
     k: int
@@ -264,7 +261,7 @@ def scan_weight_family(exponent_min: int, exponent_max: int, bit_limit: int) -> 
         hit = oracle.min_weight_witness(k, 2, bit_limit)
         if hit is not None:
             _log.warning("sparse counterexample for exponent %d: k=%d, n=%d", exponent, k, hit)
-        records.append(WeightFamilyRecord(exponent=exponent, k=k, counterexample=hit))
+        records.append(WeightFamilyRecord(exponent, k, hit))
     return records
 
 

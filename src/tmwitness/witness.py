@@ -14,7 +14,7 @@ rather than trusted input.
 """
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .digitcore import TheoremViolationError, reduce_to_odd, thue_morse, to_word
 
@@ -61,8 +61,7 @@ class CaseLabel(enum.Enum):
     Lemma6_tGtU = enum.auto()
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(NamedTuple):
     """Verified record that some candidate multiplier at most k_odd + 4 works.
 
     candidates are ascending. triple_pivot is the middle multiplier m of a
@@ -270,16 +269,7 @@ def certify(k: int) -> WitnessCertificate:
     candidates, pivot = construct_candidates(k_odd, case, params)
     for candidate in candidates:
         if thue_morse(k_odd * candidate):
-            return WitnessCertificate(
-                k_input=k,
-                k_odd=k_odd,
-                shift=shift,
-                case=case,
-                params=params,
-                candidates=candidates,
-                triple_pivot=pivot,
-                verified_hit=candidate,
-            )
+            return WitnessCertificate(k, k_odd, shift, case, params, candidates, pivot, candidate)
     raise TheoremViolationError(
         f"no constructed candidate {candidates} works for k_odd={k_odd} under {case.name}"
     )

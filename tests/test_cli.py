@@ -350,6 +350,16 @@ def test_usage_errors(capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    ("argv", "text"),
+    [(["tm", "abc"], "abc"), (["sdigits", "--base", "abc", "5"], "abc"), (["witness", "xyz"], "xyz")],
+)
+def test_non_numeric_argument_says_invalid_int(capsys, argv, text):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"invalid int value: {text!r}" in err
+
+
 # None marks where the huge argument goes
 @pytest.mark.parametrize(
     "argv",

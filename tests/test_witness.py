@@ -1,7 +1,7 @@
 """Classification, candidate construction, certification, and product word shapes."""
 
-import dataclasses
 import json
+import pickle
 import random
 
 import pytest
@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from tmwitness.cli import parse_certificate, serialize_certificate
 from tmwitness.digitcore import TheoremViolationError, run_decompose, thue_morse, to_word
+from tmwitness.genbase import conjecture_scan
+from tmwitness.scanner import frequency, scan_theorem, scan_weight_family
 from tmwitness.witness import (
     _SHAPELESS,
     CaseLabel,
@@ -314,7 +316,26 @@ INCONSISTENT_CERTIFICATES = {
 
 @pytest.mark.parametrize("fields", INCONSISTENT_CERTIFICATES.values(), ids=INCONSISTENT_CERTIFICATES.keys())
 def test_serialize_inconsistent_certificates_as_reference(fields):
-    _assert_serializes_as_reference(dataclasses.replace(certify(59), **fields))
+    _assert_serializes_as_reference(certify(59)._replace(**fields))
+
+
+# one record of each result type, with a field to try to assign
+RECORDS = {
+    "certificate": (lambda: certify(59), "verified_hit"),
+    "scan": (lambda: scan_theorem(1, 3)[0], "f"),
+    "frequency": (lambda: frequency(3, 64), "ones_frequency"),
+    "weight_family": (lambda: scan_weight_family(4, 4, 8)[0], "counterexample"),
+    "conjecture": (lambda: conjecture_scan(2, 2, 1, 8), "violated"),
+    "run_decomposition": (lambda: run_decompose(11), "runs"),
+}
+
+
+@pytest.mark.parametrize(("make", "field"), RECORDS.values(), ids=RECORDS.keys())
+def test_records_are_immutable_and_pickle(make, field):
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_serialize_raises_past_the_int_to_str_limit():
