@@ -17,6 +17,7 @@ if TYPE_CHECKING:
 __all__ = [
     "f_exact",
     "zero_min",
+    "f_and_zero_min",
     "min_weight_witness",
     "g_min",
 ]
@@ -33,17 +34,27 @@ def _zero_ceiling(k: int) -> int:
     return (1 << k.bit_length()) + 1
 
 
+def _walk(k: int, parity: int, limit: int, start: int = 1) -> int:
+    """Least n in start..limit whose product with k has the given weight parity.
+
+    Exhausting limit, a proven ceiling, is a contradiction and raises
+    TheoremViolationError.
+    """
+    product = k * (start - 1)
+    for n in range(start, limit + 1):
+        product += k
+        if product.bit_count() & 1 == parity:
+            return n
+    if parity:
+        raise TheoremViolationError(f"no multiplier up to {limit} works for k={k}")
+    raise TheoremViolationError(f"no even-weight multiple of k={k} up to n={limit}")
+
+
 def f_exact(k: int) -> int:
     """Least n >= 1 whose product with k has odd binary weight; at most k_odd + 4."""
     if k < 1:
         raise ValueError("k must be positive")
-    limit = _f_ceiling(k)
-    product = 0
-    for n in range(1, limit + 1):
-        product += k
-        if product.bit_count() & 1:
-            return n
-    raise TheoremViolationError(f"no multiplier up to {limit} works for k={k}")
+    return _walk(k, 1, _f_ceiling(k))
 
 
 def zero_min(k: int) -> int:
@@ -54,13 +65,21 @@ def zero_min(k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be positive")
-    limit = _zero_ceiling(k)
-    product = 0
-    for n in range(1, limit + 1):
-        product += k
-        if product.bit_count() & 1 == 0:
-            return n
-    raise TheoremViolationError(f"no even-weight multiple of k={k} up to n={limit}")
+    return _walk(k, 0, _zero_ceiling(k))
+
+
+def f_and_zero_min(k: int) -> tuple[int, int]:
+    """(f_exact(k), zero_min(k)) from one walk.
+
+    n = 1 settles one of the two, as k has either odd weight (f = 1) or even
+    weight (zero_min = 1); the other is walked for from n = 2 up to its own
+    ceiling.
+    """
+    if k < 1:
+        raise ValueError("k must be positive")
+    if k.bit_count() & 1:
+        return 1, _walk(k, 0, _zero_ceiling(k), 2)
+    return _walk(k, 1, _f_ceiling(k), 2), 1
 
 
 def min_weight_witness(k: int, weight_cap: int, n_bit_limit: int) -> int | None:

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import oracle
 from .digitcore import TheoremViolationError, reduce_to_odd
-from .witness import CaseLabel, WitnessCertificate, certify
+from .witness import CaseLabel, WitnessCertificate, certify, verify
 
 _log = logging.getLogger(__name__)
 
@@ -85,23 +85,32 @@ def _is_shifted_power(k: int) -> bool:
     return k >= 5 and (k - 1).bit_count() == 1
 
 
+def _check_agreement(k: int, least: int, hit: int, ceiling: int) -> None:
+    """Raise unless the oracle's least n, the construction's hit and the ceiling are ordered."""
+    if not least <= hit <= ceiling:
+        raise TheoremViolationError(f"oracle and construction disagree at k={k}: {least} vs {hit}")
+
+
 def checked_least(k: int) -> tuple[int, WitnessCertificate]:
     """f(k) by the oracle and k's certificate, once f(k) <= verified hit <= k_odd + 4 holds."""
     certificate = certify(k)
     least = oracle.f_exact(k)
-    if not least <= certificate.verified_hit <= certificate.k_odd + 4:
-        raise TheoremViolationError(
-            f"oracle and construction disagree at k={k}: {least} vs {certificate.verified_hit}"
-        )
+    _check_agreement(k, least, certificate.verified_hit, certificate.k_odd + 4)
     return least, certificate
 
 
 def _core_results(cores: Sequence[int]) -> list[tuple[int, int, int]]:
-    """(f, case value, zero_min) of each odd core, with the oracle checked against the construction."""
+    """(f, case value, zero_min) of each odd core, with the oracle checked against the construction.
+
+    A core is odd already, so it is verified without a certificate, and one
+    oracle walk gives both its f and its zero_min.
+    """
     results = []
     for core in cores:
-        least, certificate = checked_least(core)
-        results.append((least, certificate.case.value, oracle.zero_min(core)))
+        case, _, _, _, hit = verify(core)
+        least, zero = oracle.f_and_zero_min(core)
+        _check_agreement(core, least, hit, core + 4)
+        results.append((least, case.value, zero))
     return results
 
 
@@ -122,7 +131,7 @@ def _gap_flag(k: int, gap: int) -> tuple[str]:
     return ("GapEquals0",)
 
 
-def _row(k: int, least: int, case: int, zero: int) -> tuple:
+def _ruled_row(k: int, least: int, case: int, zero: int) -> tuple:
     """k's row from its odd core's result, after every gap and flag rule is checked against k."""
     gap = least - k
     flags = _gap_flag(k, gap) if gap >= 0 else ()  # a negative gap breaks no rule
@@ -217,26 +226,29 @@ def _rows(k_min: int, k_max: int, below: Sequence[int], results: Iterator) -> It
     even k finds its core in below by bisection, or past it by arithmetic.
     """
     fs, cases, zeros = _column(k_max // 2 + 4), bytearray(), _column(k_max + 1)
-
-    def keep(result: tuple[int, int, int]) -> None:
-        least, case, zero = result
+    for least, case, zero in islice(results, len(below)):
         fs.append(least)
         cases.append(case)
         zeros.append(zero)
-
-    for result in islice(results, len(below)):
-        keep(result)
     base, half = k_min | 1, k_max // 2  # no even k in range has a larger core than half
+    names = _CASE_NAMES
     for k in range(k_min, k_max + 1):
         if k & 1:
-            result = next(results)
+            least, case, zero = next(results)
             if k <= half:
-                keep(result)
+                fs.append(least)
+                cases.append(case)
+                zeros.append(zero)
         else:
             core = k >> ((k & -k).bit_length() - 1)
             at = len(below) + ((core - base) >> 1) if core >= base else bisect_left(below, core)
-            result = fs[at], cases[at], zeros[at]
-        yield _row(k, *result)
+            least, case, zero = fs[at], cases[at], zeros[at]
+        weight = least.bit_count()
+        if least < k and zero <= k + 2 and weight <= 3:
+            # no gap, flag or log rule applies to the row, so it is built here
+            yield k, least, least - k, names[case], least, weight, zero, ()
+        else:
+            yield _ruled_row(k, least, case, zero)
 
 
 def scan_theorem(k_min: int, k_max: int, jobs: int = 1) -> list[ScanRecord]:

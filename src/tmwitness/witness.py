@@ -25,6 +25,7 @@ __all__ = [
     "classify",
     "construct_candidates",
     "certify",
+    "verify",
     "word_shape",
 ]
 
@@ -256,23 +257,31 @@ def construct_candidates(
     raise ValueError(f"unknown case {case!r}")
 
 
-def certify(k: int) -> WitnessCertificate:
-    """Reduce, classify, construct, then verify each candidate by direct evaluation.
+def verify(k_odd: int) -> tuple[CaseLabel, dict[str, int], tuple[int, ...], int | None, int]:
+    """Classify an odd k, construct its candidates, then verify each by direct evaluation.
 
-    The verified hit is the least candidate whose product parity is odd. If
-    no constructed candidate works, which means a classification bug and not
-    a mathematical possibility, TheoremViolationError is raised at once: no
-    search over 1..k_odd+4 stands in for the construction.
+    Returns the case, its params, the candidates, the triple pivot and the
+    verified hit, the least candidate whose product parity is odd: the fields
+    of k_odd's certificate after its shift. If no constructed candidate works,
+    which means a classification bug and not a mathematical possibility,
+    TheoremViolationError is raised at once: no search over 1..k_odd+4 stands
+    in for the construction.
     """
-    k_odd, shift = reduce_to_odd(k)
     case, params = classify(k_odd)
     candidates, pivot = construct_candidates(k_odd, case, params)
     for candidate in candidates:
         if thue_morse(k_odd * candidate):
-            return WitnessCertificate(k, k_odd, shift, case, params, candidates, pivot, candidate)
+            return case, params, candidates, pivot, candidate
     raise TheoremViolationError(
         f"no constructed candidate {candidates} works for k_odd={k_odd} under {case.name}"
     )
+
+
+def certify(k: int) -> WitnessCertificate:
+    """Reduce k to its odd core, then verify the core's construction into a certificate."""
+    k_odd, shift = reduce_to_odd(k)
+    case, params, candidates, pivot, hit = verify(k_odd)  # a starred call would cost ~0.1 µs more
+    return WitnessCertificate(k, k_odd, shift, case, params, candidates, pivot, hit)
 
 
 _SHAPELESS = (

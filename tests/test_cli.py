@@ -180,14 +180,14 @@ def test_scan_csv_writes_file_and_keeps_stdout_quiet(capsys, tmp_path):
 
 
 def test_scan_violation_leaves_csv_untouched(capsys, monkeypatch, tmp_path):
-    real_certify = scanner.certify
+    real_verify = scanner.verify
 
-    def certify_failing_at_51(k):
-        if k == 51:
+    def verify_failing_at_51(k_odd):
+        if k_odd == 51:
             raise TheoremViolationError("planted at k=51")
-        return real_certify(k)
+        return real_verify(k_odd)
 
-    monkeypatch.setattr(scanner, "certify", certify_failing_at_51)
+    monkeypatch.setattr(scanner, "verify", verify_failing_at_51)
     # small tasks, so the rows before k=51 are written before the breach
     monkeypatch.setattr(scanner, "_CORE_CHUNK", 8)
     target = tmp_path / "scan.csv"
@@ -313,7 +313,9 @@ def test_f_both_violation_exit_code(capsys, monkeypatch):
 
 
 def test_scan_violation_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr("tmwitness.scanner.oracle.f_exact", lambda k: k + 2)
+    monkeypatch.setattr(
+        "tmwitness.scanner.oracle.f_and_zero_min", lambda k: (k + 2, scanner.oracle.zero_min(k))
+    )
     code, _, err = invoke(capsys, "scan", "--from", "3", "--to", "3", "--jobs", "1")
     assert code == 3
     assert "theorem violation" in err

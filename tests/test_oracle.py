@@ -4,12 +4,13 @@ import heapq
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from tmwitness import oracle
 from tmwitness.digitcore import TheoremViolationError, thue_morse
 from tmwitness.genbase import GenBaseQuery
 from tmwitness.oracle import (
+    f_and_zero_min,
     f_exact,
     g_min,
     min_weight_witness,
@@ -84,6 +85,43 @@ def test_zero_min_past_ceiling_raises(monkeypatch):
     monkeypatch.setattr("tmwitness.oracle._zero_ceiling", lambda k: 2)
     with pytest.raises(TheoremViolationError, match="k=1"):
         zero_min(1)
+
+
+def test_pair_walk_matches_both_walks_below_2_to_16():
+    # even k included: the pair walks k itself, as f_exact and zero_min do
+    for k in range(1, 1 << 16):
+        assert f_and_zero_min(k) == (f_exact(k), zero_min(k))
+
+
+def test_pair_walk_matches_both_walks_on_long_walks():
+    # f(2^r + 1) = 2^r + 1 and f(4^r - 1) = 4^r + 3: the walks run to about k
+    for r in range(1, 13):
+        for k in ((1 << r) + 1, (1 << 2 * r) - 1):
+            assert f_and_zero_min(k) == (f_exact(k), zero_min(k))
+
+
+def _first(k, parity, cap=1 << 16):
+    # the least n <= cap with s2(k*n) of the given parity, or None
+    return next((n for n in range(1, cap + 1) if (k * n).bit_count() & 1 == parity), None)
+
+
+@given(st.integers(min_value=1, max_value=(1 << 64) - 1))
+def test_pair_walk_matches_both_walks_below_2_to_64(k):
+    # words such as 2^64 - 1 need walks of about k steps, so they are left out
+    f, zero = _first(k, 1), _first(k, 0)
+    assume(f is not None and zero is not None)
+    assert f_and_zero_min(k) == (f_exact(k), zero_min(k)) == (f, zero)
+
+
+@pytest.mark.parametrize(
+    "ceiling, k, message",
+    [("_zero_ceiling", 1, "no even-weight multiple of k=1"), ("_f_ceiling", 3, "k=3")],
+)
+def test_pair_walk_past_ceiling_raises(monkeypatch, ceiling, k, message):
+    # zero_min(1) is 3 and f(3) is 7, so a ceiling of 2 is exhausted in either arm
+    monkeypatch.setattr(f"tmwitness.oracle.{ceiling}", lambda k: 2)
+    with pytest.raises(TheoremViolationError, match=message):
+        f_and_zero_min(k)
 
 
 def test_min_weight_witness_frozen():

@@ -151,13 +151,17 @@ def test_parallel_scan_csv_byte_identical(tmp_path, real_pools):
 
 
 def test_scan_aborts_on_forbidden_gap(monkeypatch):
-    monkeypatch.setattr("tmwitness.scanner.oracle.f_exact", lambda k: k + 2)
+    monkeypatch.setattr(
+        "tmwitness.scanner.oracle.f_and_zero_min", lambda k: (k + 2, oracle.zero_min(k))
+    )
     with pytest.raises(TheoremViolationError, match="k=3"):
         scan_theorem(3, 3)
 
 
 def test_scan_aborts_when_oracle_beats_certificate(monkeypatch):
-    monkeypatch.setattr("tmwitness.scanner.oracle.f_exact", lambda k: k + 3)
+    monkeypatch.setattr(
+        "tmwitness.scanner.oracle.f_and_zero_min", lambda k: (k + 3, oracle.zero_min(k))
+    )
     with pytest.raises(TheoremViolationError, match="disagree"):
         scan_theorem(1, 1)
 
@@ -168,15 +172,36 @@ def test_scan_aborts_on_flag_invariant_breach(monkeypatch):
         scan_theorem(15, 15)
 
 
+@pytest.mark.parametrize("k", [195, 390])
+def test_heavy_least_witness_is_logged(caplog, k):
+    # f(195) = 23 = 0b10111, and 390 has 195's f
+    with caplog.at_level("INFO", logger="tmwitness.scanner"):
+        scan_theorem(k, k)
+    assert [(record.levelname, record.getMessage()) for record in caplog.records] == [
+        ("INFO", f"least witness for k={k} is 23 with weight 4")
+    ]
+
+
+def test_scan_logs_exactly_the_heavy_least_witnesses(caplog):
+    with caplog.at_level("INFO", logger="tmwitness.scanner"):
+        scan_theorem(1, 4096)
+    logged = [int(record.getMessage().split()[3][2:]) for record in caplog.records]
+    assert logged == [k for k in range(1, 4097) if oracle.f_exact(k).bit_count() > 3]
+
+
 def test_zero_min_overflow_sets_flag(monkeypatch):
     # k = 4 takes zero_min from its odd core 1, and only from it
-    monkeypatch.setattr("tmwitness.scanner.oracle.zero_min", lambda k: {1: 7}[k])
+    monkeypatch.setattr(
+        "tmwitness.scanner.oracle.f_and_zero_min", lambda k: (oracle.f_exact(k), {1: 7}[k])
+    )
     (record,) = scan_theorem(4, 4)
     assert record.zero_min == 7
     assert "ZeroMinExceedsKplus2" in record.flags
 
     # the flag compares a core's zero_min with each k, not with the core
-    monkeypatch.setattr("tmwitness.scanner.oracle.zero_min", lambda k: {1: 5, 3: 1}[k])
+    monkeypatch.setattr(
+        "tmwitness.scanner.oracle.f_and_zero_min", lambda k: (oracle.f_exact(k), {1: 5, 3: 1}[k])
+    )
     records = scan_theorem(1, 4)
     assert [record.zero_min for record in records] == [5, 5, 1, 5]
     assert ["ZeroMinExceedsKplus2" in record.flags for record in records] == [True, True, False, False]
