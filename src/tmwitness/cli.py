@@ -55,9 +55,10 @@ def serialize_certificate(certificate: witness.WitnessCertificate) -> str:
     hit = texts[values.index(c.verified_hit)] if c.verified_hit in values else _int_text(c.verified_hit)
     guarantee = '"direct"' if pivot is None else (
         f'{{"triple":{texts[values.index(pivot)] if pivot in values else _int_text(pivot)}}}')
+    # case._name_, as the name property is a Python-level call
     return (
         f'{{"k_input":{k_odd if c.k_input == c.k_odd else _int_text(c.k_input)},"k_odd":{k_odd},'
-        f'"shift":{c.shift},"case":"{c.case.name}","params":{_object(c.params.items())},'
+        f'"shift":{c.shift},"case":"{c.case._name_}","params":{_object(c.params.items())},'
         f'"candidates":[{",".join(texts)}],"guarantee":{guarantee},"verified_hit":{hit}}}'
     )
 

@@ -110,7 +110,7 @@ def _core_results(cores: Sequence[int]) -> list[tuple[int, int, int]]:
         case, _, _, _, hit = verify(core)
         least, zero = oracle.f_and_zero_min(core)
         _check_agreement(core, least, hit, core + 4)
-        results.append((least, case.value, zero))
+        results.append((least, case._value_, zero))  # .value is a Python-level property
     return results
 
 

@@ -81,6 +81,11 @@ class WitnessCertificate(NamedTuple):
     verified_hit: int
 
 
+# the members on a plain class: CaseLabel.X goes through EnumType.__getattr__ on Python
+# 3.10 and 3.11, about 140 ns, where a class attribute takes about 30 ns
+_Case = type("_Case", (), dict(CaseLabel.__members__))
+
+
 def classify(k_odd: int) -> tuple[CaseLabel, dict[str, int]]:
     """Total, deterministic case assignment for an odd k, with the run widths it used.
 
@@ -114,12 +119,12 @@ def classify(k_odd: int) -> tuple[CaseLabel, dict[str, int]]:
     if k_odd & (k_odd + 1) == 0:
         params = {"length": width}
         if width % 2 == 1:
-            return CaseLabel.AllOnesOddLen, params
-        return CaseLabel.AllOnesEvenLen, params
+            return _Case.AllOnesOddLen, params
+        return _Case.AllOnesEvenLen, params
 
     tail = (k_odd ^ (k_odd + 1)).bit_length() - 1
     if tail % 2 == 1:
-        return CaseLabel.Lemma1, {"length": width, "tail_ones": tail}
+        return _Case.Lemma1, {"length": width, "tail_ones": tail}
 
     upper = k_odd >> tail
     gap = (upper & -upper).bit_length() - 1
@@ -127,11 +132,11 @@ def classify(k_odd: int) -> tuple[CaseLabel, dict[str, int]]:
     if gap == 1:
         params = {"length": width, "lead_ones": lead, "gap_zeros": 1, "tail_ones": tail}
         if lead < tail:
-            return CaseLabel.Lemma2_rLtU, params
+            return _Case.Lemma2_rLtU, params
         if lead > tail:
-            return CaseLabel.Lemma2_rGtU, params
+            return _Case.Lemma2_rGtU, params
         if lead + gap + tail == width:
-            return CaseLabel.Lemma2_Palindrome, params
+            return _Case.Lemma2_Palindrome, params
         above = upper >> gap
         mid = (above ^ (above + 1)).bit_length() - 1
         params = {
@@ -142,24 +147,24 @@ def classify(k_odd: int) -> tuple[CaseLabel, dict[str, int]]:
             "tail_ones": tail,
         }
         if mid % 2 == 1:
-            return CaseLabel.Lemma2_vOdd, params
+            return _Case.Lemma2_vOdd, params
         if tail >= 4:
-            return CaseLabel.Lemma2_vEven_uGe4, params
+            return _Case.Lemma2_vEven_uGe4, params
         # lead == tail == 2 here, so the word starts "110" and is wide enough
         if k_odd >> (width - 4) == 0b1101:
-            return CaseLabel.Lemma2_u2_U4_1101, params
+            return _Case.Lemma2_u2_U4_1101, params
         prefix = k_odd >> (width - 5)
         if prefix == 0b11000:
-            return CaseLabel.Lemma2_u2_U5_11000, params
+            return _Case.Lemma2_u2_U5_11000, params
         if prefix == 0b11001:
-            return CaseLabel.Lemma2_u2_U5_11001, params
+            return _Case.Lemma2_u2_U5_11001, params
         raise AssertionError(f"unreachable prefix {prefix:b} for k={k_odd}")
 
     params = {"length": width, "lead_ones": lead, "gap_zeros": gap, "tail_ones": tail}
     if lead < tail:
-        return CaseLabel.Lemma3_rLtU, params
+        return _Case.Lemma3_rLtU, params
     if lead > tail:
-        return CaseLabel.Lemma3_rGtU, params
+        return _Case.Lemma3_rGtU, params
     below = width - lead - (k_odd & ((1 << (width - lead)) - 1)).bit_length()
     params = {
         "length": width,
@@ -169,26 +174,60 @@ def classify(k_odd: int) -> tuple[CaseLabel, dict[str, int]]:
         "tail_ones": tail,
     }
     if below < tail - 1:
-        return CaseLabel.Lemma4, params
+        return _Case.Lemma4, params
     probe = (k_odd >> (gap + tail + 1)) & 1
     params = dict(params, above_gap_bit=probe)
     if probe == 0:
         if gap <= tail - 1:
-            return CaseLabel.Lemma5_tSmall, params
+            return _Case.Lemma5_tSmall, params
         if gap == tail:
             if below == tail - 1:
-                return CaseLabel.Lemma5_tEq_u_s_eq, params
-            return CaseLabel.Lemma5_tEq_u_s_big, params
-        return CaseLabel.Lemma5_tGtU_gap, params
+                return _Case.Lemma5_tEq_u_s_eq, params
+            return _Case.Lemma5_tEq_u_s_big, params
+        return _Case.Lemma5_tGtU_gap, params
     if gap <= tail - 1:
-        return CaseLabel.Lemma6_tSmall, params
+        return _Case.Lemma6_tSmall, params
     if gap == tail:
         if below == tail - 1:
-            return CaseLabel.Lemma6_tEqU_U2u, params
+            return _Case.Lemma6_tEqU_U2u, params
         if below == tail:
-            return CaseLabel.Lemma6_tEqU_U2u1_one, params
-        return CaseLabel.Lemma6_tEqU_U2u1_zero, params
-    return CaseLabel.Lemma6_tGtU, params
+            return _Case.Lemma6_tEqU_U2u1_one, params
+        return _Case.Lemma6_tEqU_U2u1_zero, params
+    return _Case.Lemma6_tGtU, params
+
+
+# construct_candidates' arms, keyed by case name: (k_odd, width, params) -> (candidates,
+# pivot). A triple's last candidate is m * 2^b + 1 for its pivot m, or 2^(w - 1) + m.
+# Shifts bind looser than + and -: 1 << w - 1 is 2^(w - 1).
+_ARMS = {
+    "AllOnesOddLen": lambda k, w, p: ((1,), None),
+    "AllOnesEvenLen": lambda k, w, p: ((k + 4,), None),
+    "Lemma1": lambda k, w, p: (((1 << w - 1) + 1,), None),
+    "Lemma2_rLtU": lambda k, w, p: (((1 << w - p["lead_ones"] - 1) + 1,), None),
+    "Lemma2_rGtU": lambda k, w, p: ((1, 3, (3 << w - p["tail_ones"] - 1) + 1), 3),
+    "Lemma2_Palindrome": lambda k, w, p: ((3,), None),
+    "Lemma2_vOdd": lambda k, w, p: (((1 << w - p["tail_ones"] - 1) + 1,), None),
+    "Lemma2_vEven_uGe4": lambda k, w, p: ((1, 3, (3 << w - p["tail_ones"] - 1) + 1), 3),
+    "Lemma2_u2_U4_1101": lambda k, w, p: (((1 << w - 4) + 1,), None),
+    "Lemma2_u2_U5_11000": lambda k, w, p: ((1, 3, (3 << w - 5) + 1), 3),
+    "Lemma2_u2_U5_11001": lambda k, w, p: ((1, 5, (5 << w - 5) + 1), 5),
+    "Lemma3_rLtU": lambda k, w, p: (((1 << w - p["lead_ones"] - 1) + 1,), None),
+    "Lemma3_rGtU": lambda k, w, p: (((1 << w - p["tail_ones"] - 1) + 1,), None),
+    "Lemma4": lambda k, w, p: ((1, (m := (1 << p["tail_ones"] - 1) + 1), (1 << w - 1) + m), m),
+    "Lemma5_tSmall": lambda k, w, p: (((1 << w - p["tail_ones"] - p["gap_zeros"]) + 1,), None),
+    "Lemma5_tEq_u_s_eq": lambda k, w, p: (((1 << w - p["tail_ones"] - p["gap_zeros"]) + 1,), None),
+    "Lemma5_tEq_u_s_big": lambda k, w, p: (((1 << w - p["tail_ones"] - p["gap_zeros"] - 1) + 1,), None),
+    "Lemma5_tGtU_gap": lambda k, w, p: (
+        (1, (m := (1 << p["tail_ones"]) + 1), (m << w - p["tail_ones"] - 1) + 1), m
+    ),
+    "Lemma6_tSmall": lambda k, w, p: ((1, 3, (3 << w - p["tail_ones"] - p["gap_zeros"]) + 1), 3),
+    "Lemma6_tEqU_U2u": lambda k, w, p: ((1, 3, (3 << w - p["tail_ones"] - p["gap_zeros"]) + 1), 3),
+    "Lemma6_tEqU_U2u1_one": lambda k, w, p: ((1, 3, (3 << w - p["tail_ones"] - p["gap_zeros"] - 1) + 1), 3),
+    "Lemma6_tEqU_U2u1_zero": lambda k, w, p: ((1, (m := (1 << p["tail_ones"]) + 1), (1 << w - 1) + m), m),
+    "Lemma6_tGtU": lambda k, w, p: (
+        (1, (m := (1 << p["tail_ones"]) + 1), (m << w - p["tail_ones"] - 1) + 1), m
+    ),
+}
 
 
 def construct_candidates(
@@ -201,60 +240,12 @@ def construct_candidates(
     cannot all be even. Every candidate is at most k_odd + 4 and carries at
     most three set bits.
     """
-    try:
-        width = params["length"]
-        if case is CaseLabel.AllOnesOddLen:
-            return (1,), None
-        if case is CaseLabel.AllOnesEvenLen:
-            return (k_odd + 4,), None
-        if case is CaseLabel.Lemma1:
-            return (2 ** (width - 1) + 1,), None
-        if case in (CaseLabel.Lemma2_rLtU, CaseLabel.Lemma3_rLtU):
-            return (2 ** (width - params["lead_ones"] - 1) + 1,), None
-        if case in (CaseLabel.Lemma2_rGtU, CaseLabel.Lemma2_vEven_uGe4):
-            tail = params["tail_ones"]
-            return (1, 3, 2 ** (width - tail) + 2 ** (width - tail - 1) + 1), 3
-        if case is CaseLabel.Lemma2_Palindrome:
-            return (3,), None
-        if case in (CaseLabel.Lemma2_vOdd, CaseLabel.Lemma3_rGtU):
-            return (2 ** (width - params["tail_ones"] - 1) + 1,), None
-        if case is CaseLabel.Lemma2_u2_U4_1101:
-            return (2 ** (width - 4) + 1,), None
-        if case is CaseLabel.Lemma2_u2_U5_11000:
-            return (1, 3, 2 ** (width - 4) + 2 ** (width - 5) + 1), 3
-        if case is CaseLabel.Lemma2_u2_U5_11001:
-            # n = 5 * 2^(width-5) + 1, so k*n = 5k * 2^(width-5) + k
-            return (1, 5, 2 ** (width - 3) + 2 ** (width - 5) + 1), 5
-        if case is CaseLabel.Lemma4:
-            tail = params["tail_ones"]
-            pivot = 2 ** (tail - 1) + 1
-            final = 2 ** (width - 1) + 2 ** (tail - 1) + 1
-            return (1, pivot, final), pivot
-        if case in (CaseLabel.Lemma5_tSmall, CaseLabel.Lemma5_tEq_u_s_eq):
-            span = params["tail_ones"] + params["gap_zeros"]
-            return (2 ** (width - span) + 1,), None
-        if case is CaseLabel.Lemma5_tEq_u_s_big:
-            span = params["tail_ones"] + params["gap_zeros"] + 1
-            return (2 ** (width - span) + 1,), None
-        if case in (CaseLabel.Lemma5_tGtU_gap, CaseLabel.Lemma6_tGtU):
-            tail = params["tail_ones"]
-            pivot = 2**tail + 1
-            final = 2 ** (width - 1) + 2 ** (width - tail - 1) + 1
-            return (1, pivot, final), pivot
-        if case in (CaseLabel.Lemma6_tSmall, CaseLabel.Lemma6_tEqU_U2u):
-            span = params["tail_ones"] + params["gap_zeros"]
-            return (1, 3, 2 ** (width - span + 1) + 2 ** (width - span) + 1), 3
-        if case is CaseLabel.Lemma6_tEqU_U2u1_one:
-            span = params["tail_ones"] + params["gap_zeros"]
-            return (1, 3, 2 ** (width - span) + 2 ** (width - span - 1) + 1), 3
-        if case is CaseLabel.Lemma6_tEqU_U2u1_zero:
-            tail = params["tail_ones"]
-            pivot = 2**tail + 1
-            final = 2 ** (width - 1) + 2**tail + 1
-            return (1, pivot, final), pivot
+    if type(case) is not CaseLabel:
+        raise ValueError(f"unknown case {case!r}")
+    try:  # by _name_: the name property and hashing a member are Python-level calls
+        return _ARMS[case._name_](k_odd, params["length"], params)
     except KeyError as missing:
         raise ValueError(f"case {case.name} needs parameter {missing}") from None
-    raise ValueError(f"unknown case {case!r}")
 
 
 def verify(k_odd: int) -> tuple[CaseLabel, dict[str, int], tuple[int, ...], int | None, int]:

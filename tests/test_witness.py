@@ -1,5 +1,6 @@
 """Classification, candidate construction, certification, and product word shapes."""
 
+import enum
 import json
 import pickle
 import random
@@ -12,6 +13,7 @@ from tmwitness.digitcore import TheoremViolationError, run_decompose, thue_morse
 from tmwitness.genbase import conjecture_scan
 from tmwitness.scanner import frequency, scan_theorem, scan_weight_family
 from tmwitness.witness import (
+    _ARMS,
     _SHAPELESS,
     CaseLabel,
     UnsupportedCaseError,
@@ -135,11 +137,71 @@ def _reference_classify(k_odd):
     return CaseLabel.Lemma6_tGtU, params
 
 
+def _reference_construct(k_odd, case, params):
+    """The construction as an if chain over the members, each power of two as 2 ** e."""
+    try:
+        width = params["length"]
+        if case is CaseLabel.AllOnesOddLen:
+            return (1,), None
+        if case is CaseLabel.AllOnesEvenLen:
+            return (k_odd + 4,), None
+        if case is CaseLabel.Lemma1:
+            return (2 ** (width - 1) + 1,), None
+        if case in (CaseLabel.Lemma2_rLtU, CaseLabel.Lemma3_rLtU):
+            return (2 ** (width - params["lead_ones"] - 1) + 1,), None
+        if case in (CaseLabel.Lemma2_rGtU, CaseLabel.Lemma2_vEven_uGe4):
+            tail = params["tail_ones"]
+            return (1, 3, 2 ** (width - tail) + 2 ** (width - tail - 1) + 1), 3
+        if case is CaseLabel.Lemma2_Palindrome:
+            return (3,), None
+        if case in (CaseLabel.Lemma2_vOdd, CaseLabel.Lemma3_rGtU):
+            return (2 ** (width - params["tail_ones"] - 1) + 1,), None
+        if case is CaseLabel.Lemma2_u2_U4_1101:
+            return (2 ** (width - 4) + 1,), None
+        if case is CaseLabel.Lemma2_u2_U5_11000:
+            return (1, 3, 2 ** (width - 4) + 2 ** (width - 5) + 1), 3
+        if case is CaseLabel.Lemma2_u2_U5_11001:
+            # n = 5 * 2^(width-5) + 1, so k*n = 5k * 2^(width-5) + k
+            return (1, 5, 2 ** (width - 3) + 2 ** (width - 5) + 1), 5
+        if case is CaseLabel.Lemma4:
+            tail = params["tail_ones"]
+            pivot = 2 ** (tail - 1) + 1
+            final = 2 ** (width - 1) + 2 ** (tail - 1) + 1
+            return (1, pivot, final), pivot
+        if case in (CaseLabel.Lemma5_tSmall, CaseLabel.Lemma5_tEq_u_s_eq):
+            span = params["tail_ones"] + params["gap_zeros"]
+            return (2 ** (width - span) + 1,), None
+        if case is CaseLabel.Lemma5_tEq_u_s_big:
+            span = params["tail_ones"] + params["gap_zeros"] + 1
+            return (2 ** (width - span) + 1,), None
+        if case in (CaseLabel.Lemma5_tGtU_gap, CaseLabel.Lemma6_tGtU):
+            tail = params["tail_ones"]
+            pivot = 2**tail + 1
+            final = 2 ** (width - 1) + 2 ** (width - tail - 1) + 1
+            return (1, pivot, final), pivot
+        if case in (CaseLabel.Lemma6_tSmall, CaseLabel.Lemma6_tEqU_U2u):
+            span = params["tail_ones"] + params["gap_zeros"]
+            return (1, 3, 2 ** (width - span + 1) + 2 ** (width - span) + 1), 3
+        if case is CaseLabel.Lemma6_tEqU_U2u1_one:
+            span = params["tail_ones"] + params["gap_zeros"]
+            return (1, 3, 2 ** (width - span) + 2 ** (width - span - 1) + 1), 3
+        if case is CaseLabel.Lemma6_tEqU_U2u1_zero:
+            tail = params["tail_ones"]
+            pivot = 2**tail + 1
+            final = 2 ** (width - 1) + 2**tail + 1
+            return (1, pivot, final), pivot
+    except KeyError as missing:
+        raise ValueError(f"case {case.name} needs parameter {missing}") from None
+    raise ValueError(f"unknown case {case!r}")
+
+
 def _assert_matches_reference(k):
-    # key order is part of the certificate bytes, so compare it too
+    # classify and construct_candidates against their references; key order is
+    # part of the certificate bytes, so compare it too
     case, params = classify(k)
     want_case, want_params = _reference_classify(k)
     assert (case, list(params.items())) == (want_case, list(want_params.items())), k
+    assert construct_candidates(k, case, params) == _reference_construct(k, want_case, want_params), k
 
 
 EDGE_WORDS = {
@@ -356,6 +418,18 @@ def test_construct_examples():
 def test_construct_missing_parameter():
     with pytest.raises(ValueError, match="needs parameter"):
         construct_candidates(11, CaseLabel.Lemma2_rLtU, {"length": 4})
+
+
+def test_construct_has_one_arm_per_case():
+    assert _ARMS.keys() == CaseLabel.__members__.keys()
+
+
+@pytest.mark.parametrize(
+    "case", ["Lemma1", None, 5, enum.Enum("Other", "Lemma1").Lemma1], ids=["name", "none", "int", "foreign_member"]
+)
+def test_construct_rejects_a_case_that_is_no_member(case):
+    with pytest.raises(ValueError, match="unknown case"):
+        construct_candidates(9, case, {"length": 4, "tail_ones": 1})
 
 
 def test_certify_examples():
