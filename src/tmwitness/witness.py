@@ -283,36 +283,35 @@ _SHAPELESS = (
 )
 
 
-def _top(word: str, count: int) -> str:
-    return word[:count]
-
-
 def _low(word: str, count: int) -> str:
-    return word[len(word) - count:] if count else ""
+    return word[len(word) - count:]
 
 
 def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
     """Predicted binary word of k times the constructed candidate, assembled from slices.
 
-    Each supported case concatenates slices of the words of k, 3k, 5k, or
-    k times the pivot with short literal blocks. Slice widths are anchored
-    to the actual width of the auxiliary product, which can differ by one
-    from what the run arithmetic alone would suggest. Cases without a
-    displayed decomposition raise UnsupportedCaseError.
+    Each supported case concatenates slices of the words of k and of k
+    times the construction's pivot, the auxiliary product, with short
+    literal blocks. Slice widths are anchored to the actual width of the
+    auxiliary product, which can differ by one from what the run arithmetic
+    alone would suggest. Cases without a displayed decomposition raise
+    UnsupportedCaseError; what construct_candidates refuses raises its ValueError.
     """
     if case in _SHAPELESS:
         raise UnsupportedCaseError(f"no displayed product decomposition for {case.name}")
+    _, pivot = construct_candidates(k_odd, case, params)
+    word = to_word(k_odd)
+    aux = word if pivot is None else to_word(k_odd * pivot)
     try:
         width = params["length"]
-        word = to_word(k_odd)
         if case is CaseLabel.Lemma1:
             tail = params["tail_ones"]
-            return _top(word, width - tail - 1) + "1" + "0" * tail + _low(word, width - 1)
+            return word[:width - tail - 1] + "1" + "0" * tail + _low(word, width - 1)
         if case in (CaseLabel.Lemma2_rLtU, CaseLabel.Lemma3_rLtU):
             tail = params["tail_ones"]
             lead = params["lead_ones"]
             return (
-                _top(word, width - tail - 1)
+                word[:width - tail - 1]
                 + "1"
                 + "0" * (tail - lead - 1)
                 + "1" * (lead - 1)
@@ -321,9 +320,8 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
             )
         if case is CaseLabel.Lemma2_rGtU:
             tail = params["tail_ones"]
-            word3 = to_word(3 * k_odd)
             return (
-                _top(word3, len(word3) - tail - 2)
+                aux[:len(aux) - tail - 2]
                 + "10"
                 + "1" * (tail - 2)
                 + "00"
@@ -333,7 +331,7 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
             tail = params["tail_ones"]
             mid = params["mid_ones"]
             return (
-                _top(word, width - mid - tail - 2)
+                word[:width - mid - tail - 2]
                 + "1"
                 + "0" * (mid + 1)
                 + "1" * (tail - 2)
@@ -343,9 +341,8 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
         if case is CaseLabel.Lemma2_vEven_uGe4:
             tail = params["tail_ones"]
             mid = params["mid_ones"]
-            word3 = to_word(3 * k_odd)
             return (
-                _top(word3, len(word3) - mid - tail - 2)
+                aux[:len(aux) - mid - tail - 2]
                 + "0"
                 + "1" * mid
                 + "0"
@@ -356,7 +353,7 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
         if case is CaseLabel.Lemma2_u2_U4_1101:
             mid = params["mid_ones"]
             return (
-                _top(word, width - mid - 4)
+                word[:width - mid - 4]
                 + "1"
                 + "0" * (mid - 1)
                 + "1000"
@@ -364,9 +361,8 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
             )
         if case is CaseLabel.Lemma2_u2_U5_11000:
             mid = params["mid_ones"]
-            word3 = to_word(3 * k_odd)
             return (
-                _top(word3, len(word3) - mid - 4)
+                aux[:len(aux) - mid - 4]
                 + "1"
                 + "0" * (mid - 1)
                 + "1001"
@@ -374,9 +370,8 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
             )
         if case is CaseLabel.Lemma2_u2_U5_11001:
             mid = params["mid_ones"]
-            word5 = to_word(5 * k_odd)
             return (
-                _top(word5, len(word5) - mid - 4)
+                aux[:len(aux) - mid - 4]
                 + "1"
                 + "0" * (mid + 3)
                 + _low(word, width - 5)
@@ -384,7 +379,7 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
         if case is CaseLabel.Lemma3_rGtU:
             tail = params["tail_ones"]
             return (
-                _top(word, width - tail - 2)
+                word[:width - tail - 2]
                 + "10"
                 + "1" * (tail - 1)
                 + "0"
@@ -393,18 +388,17 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
         if case is CaseLabel.Lemma4:
             tail = params["tail_ones"]
             below = params["lead_zeros"]
-            pivot_word = to_word(k_odd * (2 ** (tail - 1) + 1))
             return (
-                _top(word, width - tail - 2)
+                word[:width - tail - 2]
                 + "1"
                 + "0" * (tail + below + 1)
-                + _low(pivot_word, len(pivot_word) - below - tail - 1)
+                + _low(aux, len(aux) - below - tail - 1)
             )
         if case is CaseLabel.Lemma5_tSmall:
             tail = params["tail_ones"]
             gap = params["gap_zeros"]
             return (
-                _top(word, width - tail - gap - 2)
+                word[:width - tail - gap - 2]
                 + "1"
                 + "0" * (gap + 1)
                 + "1" * (tail - gap - 1)
@@ -416,7 +410,7 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
             tail = params["tail_ones"]
             gap = params["gap_zeros"]
             return (
-                _top(word, width - tail - gap - 2)
+                word[:width - tail - gap - 2]
                 + "1"
                 + "0" * (gap + tail + 1)
                 + _low(word, width - tail - gap)
@@ -427,7 +421,7 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
             probe = word[2 * tail]
             flipped = "0" if probe == "1" else "1"
             return (
-                _top(word, width - tail - gap - 2)
+                word[:width - tail - gap - 2]
                 + "10"
                 + "1" * (gap - 1)
                 + probe
@@ -437,9 +431,8 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
         if case is CaseLabel.Lemma6_tSmall:
             tail = params["tail_ones"]
             gap = params["gap_zeros"]
-            word3 = to_word(3 * k_odd)
             return (
-                _top(word3, len(word3) - gap - tail - 2)
+                aux[:len(aux) - gap - tail - 2]
                 + "1"
                 + "0" * (gap - 1)
                 + "10"
@@ -452,9 +445,8 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
         if case is CaseLabel.Lemma6_tEqU_U2u:
             tail = params["tail_ones"]
             gap = params["gap_zeros"]
-            word3 = to_word(3 * k_odd)
             return (
-                _top(word3, len(word3) - gap - tail - 2)
+                aux[:len(aux) - gap - tail - 2]
                 + "1"
                 + "0" * gap
                 + "1" * tail
@@ -464,9 +456,8 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
         if case is CaseLabel.Lemma6_tEqU_U2u1_one:
             tail = params["tail_ones"]
             gap = params["gap_zeros"]
-            word3 = to_word(3 * k_odd)
             return (
-                _top(word3, len(word3) - gap - tail - 2)
+                aux[:len(aux) - gap - tail - 2]
                 + "11"
                 + "0" * gap
                 + "1" * (tail - 1)
@@ -475,20 +466,18 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
             )
         if case is CaseLabel.Lemma6_tEqU_U2u1_zero:
             tail = params["tail_ones"]
-            pivot_word = to_word(k_odd * (2**tail + 1))
             return (
-                _top(word, width - tail - 2)
+                word[:width - tail - 2]
                 + "10"
                 + "1" * (tail - 1)
                 + "0"
                 + "1" * (tail - 1)
-                + _low(pivot_word, len(pivot_word) - 2 * tail)
+                + _low(aux, len(aux) - 2 * tail)
             )
         if case is CaseLabel.Lemma6_tGtU:
             tail = params["tail_ones"]
-            pivot_word = to_word(k_odd * (2**tail + 1))
             return (
-                _top(pivot_word, len(pivot_word) - 2 * tail - 1)
+                aux[:len(aux) - 2 * tail - 1]
                 + "1"
                 + "0" * (tail - 1)
                 + "1" * (tail - 1)
@@ -497,4 +486,3 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
             )
     except KeyError as missing:
         raise ValueError(f"case {case.name} needs parameter {missing}") from None
-    raise ValueError(f"unknown case {case!r}")

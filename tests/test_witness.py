@@ -430,6 +430,8 @@ def test_construct_has_one_arm_per_case():
 def test_construct_rejects_a_case_that_is_no_member(case):
     with pytest.raises(ValueError, match="unknown case"):
         construct_candidates(9, case, {"length": 4, "tail_ones": 1})
+    with pytest.raises(ValueError, match="unknown case"):
+        word_shape(9, case, {"length": 4, "tail_ones": 1})
 
 
 def test_certify_examples():
