@@ -7,7 +7,8 @@ the question to digit sums in arbitrary bases, and scans ranges of k while
 verifying every claimed invariant as it goes.
 """
 
-from .cli import main, parse_certificate, run, serialize_certificate
+import importlib
+
 from .digitcore import (
     RunDecomposition,
     TheoremViolationError,
@@ -43,6 +44,18 @@ from .witness import (
 )
 
 __version__ = "0.1.0"
+
+# cli and its names load cli, and with it argparse and json, on first use (PEP 562)
+_CLI_NAMES = frozenset({"main", "parse_certificate", "run", "serialize_certificate"})
+
+
+def __getattr__(name: str):
+    if name == "cli" or name in _CLI_NAMES:
+        # import_module, as `from . import cli` would look cli up here again
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CaseLabel",

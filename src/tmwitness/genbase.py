@@ -8,7 +8,6 @@ explicit size bounds and are re-verified on every call.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import oracle
@@ -23,37 +22,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GenBaseQuery:
-    """One instance of the digit-class problem.
-
-    digit_class is normalized into [0, modulus) at construction. Queries with
-    gcd(base-1, modulus) != 1 are rejected outright: digit sums of multiples
-    then miss entire residue classes, so neither the constructions nor any
-    search-termination bound apply.
-    """
-
+# GenBaseQuery's fields, apart, as a NamedTuple class body may not define __new__
+class _QueryFields(NamedTuple):
     base: int
     modulus: int
     digit_class: int
     k: int
     residue: int | None = None
 
-    def __post_init__(self) -> None:
-        if self.base < 2:
+
+class GenBaseQuery(_QueryFields):
+    """One instance of the digit-class problem.
+
+    digit_class is normalized into [0, modulus) at construction. Queries with
+    gcd(base-1, modulus) != 1 are rejected outright: digit sums of multiples
+    then miss entire residue classes, so neither the constructions nor any
+    search-termination bound apply. Construction validates, by position or
+    by keyword; _make and _replace build the tuple as given, unchecked.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, base: int, modulus: int, digit_class: int, k: int, residue: int | None = None):
+        if base < 2:
             raise ValueError("base must be at least 2")
-        if self.modulus < 1:
+        if modulus < 1:
             raise ValueError("modulus must be positive")
-        if self.k < 1:
+        if k < 1:
             raise ValueError("k must be positive")
-        if math.gcd(self.base - 1, self.modulus) != 1:
-            raise ValueError(
-                f"gcd(base-1, modulus) must be 1; "
-                f"got gcd({self.base - 1}, {self.modulus}) != 1"
-            )
-        object.__setattr__(self, "digit_class", self.digit_class % self.modulus)
-        if self.residue is not None and not 0 <= self.residue < self.k:
+        if math.gcd(base - 1, modulus) != 1:
+            raise ValueError(f"gcd(base-1, modulus) must be 1; got gcd({base - 1}, {modulus}) != 1")
+        if residue is not None and not 0 <= residue < k:
             raise ValueError("residue must lie in [0, k)")
+        return super().__new__(cls, base, modulus, digit_class % modulus, k, residue)
 
 
 class ConjectureReport(NamedTuple):

@@ -6,14 +6,12 @@ one; parallelism degree is configuration, never semantics. Any contradiction of 
 characterization aborts the run loudly instead of skipping the offender.
 """
 
-import logging
 import os
 import shutil
 from array import array
 from bisect import bisect_left
 from collections import deque
 from contextlib import suppress
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from functools import reduce
 from operator import xor
@@ -23,8 +21,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from . import oracle
 from .digitcore import TheoremViolationError, reduce_to_odd
 from .witness import CaseLabel, WitnessCertificate, certify, verify
-
-_log = logging.getLogger(__name__)
 
 __all__ = [
     "ScanRecord",
@@ -172,6 +168,8 @@ def _in_order(tasks: list[Sequence[int]], jobs: int) -> Iterator[list[tuple[int,
     if workers <= 1:
         yield from map(_core_results, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor  # about 20 ms that only a pooled scan pays
+
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         pending: deque = deque()
@@ -214,6 +212,9 @@ def _rows(k_min: int, k_max: int, below: Sequence[int], results: Iterator) -> It
     bytes per core: below's cores first, then each odd k <= k_max // 2. An
     even k finds its core in below by bisection, or past it by arithmetic.
     """
+    import logging  # loaded by a scan, not by every start of the package
+
+    log = logging.getLogger(__name__)
     fs, cases, zeros = _column(k_max // 2 + 4), bytearray(), _column(k_max + 1)
     for least, case, zero in islice(results, len(below)):
         fs.append(least)
@@ -238,7 +239,7 @@ def _rows(k_min: int, k_max: int, below: Sequence[int], results: Iterator) -> It
         weight = least.bit_count()
         if weight > 3:
             # a sparse witness no larger than k+4 still exists; the minimum just is not it
-            _log.info("least witness for k=%d is %d with weight %d", k, least, weight)
+            log.info("least witness for k=%d is %d with weight %d", k, least, weight)
         yield k, least, least - k, names[case], least, weight, zero, flags
 
 
@@ -258,12 +259,15 @@ def scan_weight_family(exponent_min: int, exponent_max: int, bit_limit: int) -> 
     """
     if not 4 <= exponent_min <= exponent_max:  # the family starts at exponent 4
         raise ValueError("need 4 <= exponent_min <= exponent_max")
+    import logging
+
+    log = logging.getLogger(__name__)
     records = []
     for exponent in range(exponent_min, exponent_max + 1):
         k = 3 * 2**exponent + 3
         hit = oracle.min_weight_witness(k, 2, bit_limit)
         if hit is not None:
-            _log.warning("sparse counterexample for exponent %d: k=%d, n=%d", exponent, k, hit)
+            log.warning("sparse counterexample for exponent %d: k=%d, n=%d", exponent, k, hit)
         records.append(WeightFamilyRecord(exponent, k, hit))
     return records
 

@@ -396,18 +396,17 @@ def test_argument_past_the_digit_limit_is_refused_briefly(capsys, argv):
     assert f"limited to {limit:,} digits" in err
 
 
-def module_process(*argv):
-    """Run `python -m tmwitness` in a fresh process on the package under test."""
+def fresh_process(*args):
+    """Run a fresh interpreter with args, importing the package under test."""
     source_root = str(Path(tmwitness.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source_root, inherited])))
-    return subprocess.run(
-        [sys.executable, "-m", "tmwitness", *argv],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60, env=env)
+
+
+def module_process(*argv):
+    """Run `python -m tmwitness` in a fresh process on the package under test."""
+    return fresh_process("-m", "tmwitness", *argv)
 
 
 def test_console_script_end_to_end():
@@ -419,6 +418,34 @@ def test_console_script_end_to_end():
     assert done.stdout == '{"n":5,"t":0}\n'
     assert done.stderr == ""
     assert module_process("f", "0").returncode == 2
+
+
+def modules_loaded_by(code: str) -> set[str]:
+    """The modules a fresh interpreter loads to run code, past those it started with.
+
+    The interpreter's own start, such as site, may load some of the modules
+    asked about, so only the ones code adds count.
+    """
+    done = fresh_process("-c", f"import sys\nbefore = set(sys.modules)\n{code}\nprint(*set(sys.modules) - before)")
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_imports_stay_lazy():
+    # a library import loads neither the CLI's parsers nor the pool nor logging
+    loaded = modules_loaded_by("import tmwitness")
+    assert "tmwitness.scanner" in loaded
+    assert not loaded & {"concurrent.futures", "multiprocessing", "argparse", "json", "logging", "dataclasses"}
+    # cli and its four names load it on first use, also through import *
+    loaded = modules_loaded_by(
+        "import tmwitness\nassert tmwitness.cli.run is tmwitness.run\n"
+        "from tmwitness import *\nassert main is tmwitness.cli.main"
+    )
+    assert "argparse" in loaded
+    # short commands load the CLI but not the pool or dataclasses
+    for argv in (["tm", "5"], ["witness", "51"], ["freq", "--k", "3", "--samples", "1000"]):
+        loaded = modules_loaded_by(f"from tmwitness.cli import run\nassert run({argv!r}) == 0")
+        assert not loaded & {"concurrent.futures", "multiprocessing", "dataclasses"}, argv
 
 
 def test_console_script_declared():

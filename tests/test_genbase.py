@@ -32,6 +32,25 @@ def test_query_validation():
         GenBaseQuery(2, 2, 1, 3, residue=-1)
 
 
+def test_query_by_keyword_is_checked_as_by_position():
+    query = GenBaseQuery(2, 2, 5, 3)
+    assert repr(query) == "GenBaseQuery(base=2, modulus=2, digit_class=1, k=3, residue=None)"
+    assert GenBaseQuery(base=2, modulus=2, digit_class=5, k=3) == query
+    assert GenBaseQuery(10, 4, 10, 7, residue=6) == GenBaseQuery(k=7, residue=6, digit_class=10, modulus=4, base=10)
+    for fields in [
+        {"base": 1, "modulus": 2, "digit_class": 0, "k": 3},
+        {"base": 2, "modulus": 0, "digit_class": 0, "k": 3},
+        {"base": 2, "modulus": 2, "digit_class": 1, "k": 0},
+        {"base": 3, "modulus": 2, "digit_class": 1, "k": 4},
+        {"base": 2, "modulus": 2, "digit_class": 1, "k": 3, "residue": 3},
+    ]:
+        with pytest.raises(ValueError) as by_keyword:
+            GenBaseQuery(**fields)
+        with pytest.raises(ValueError) as by_position:
+            GenBaseQuery(*fields.values())
+        assert str(by_keyword.value) == str(by_position.value)
+
+
 @pytest.mark.parametrize("base,modulus", [(3, 2), (10, 3), (5, 2), (7, 6)])
 def test_query_rejects_shared_factor(base, modulus):
     # digit sums of multiples skip entire classes when base-1 shares a factor
@@ -49,9 +68,9 @@ def test_prop_construct_examples():
 
 
 def test_exhausted_exponent_window_is_a_violation():
-    query = GenBaseQuery(2, 2, 1, 3)
-    # base 3 shares the factor 2 with the modulus, so no exponent reaches class 1
-    object.__setattr__(query, "base", 3)
+    # base 3 shares the factor 2 with the modulus, so no exponent reaches class 1;
+    # _replace builds the query unchecked
+    query = GenBaseQuery(2, 2, 1, 3)._replace(base=3)
     with pytest.raises(TheoremViolationError, match="window"):
         prop_construct(query)
 

@@ -129,7 +129,7 @@ def test_pool_gets_no_more_workers_than_tasks(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr("tmwitness.scanner.ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     # cores 5, 11 and 21 below 40..44 are one task, and 41 and 43 another
     assert scan_theorem(40, 44, jobs=16) == scan_theorem(40, 44)
     assert made == [2]

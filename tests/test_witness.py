@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from tmwitness.cli import parse_certificate, serialize_certificate
 from tmwitness.digitcore import TheoremViolationError, run_decompose, thue_morse, to_word
-from tmwitness.genbase import conjecture_scan
+from tmwitness.genbase import GenBaseQuery, conjecture_scan
 from tmwitness.scanner import frequency, scan_theorem, scan_weight_family
 from tmwitness.witness import (
     _ARMS,
@@ -389,6 +389,7 @@ RECORDS = {
     "weight_family": (lambda: scan_weight_family(4, 4, 8)[0], "counterexample"),
     "conjecture": (lambda: conjecture_scan(2, 2, 1, 8), "violated"),
     "run_decomposition": (lambda: run_decompose(11), "runs"),
+    "genbase_query": (lambda: GenBaseQuery(2, 2, 5, 3), "base"),
 }
 
 
