@@ -256,12 +256,19 @@ def verify(k_odd: int) -> tuple[CaseLabel, dict[str, int], tuple[int, ...], int 
     of k_odd's certificate after its shift. If no constructed candidate works,
     which means a classification bug and not a mathematical possibility,
     TheoremViolationError is raised at once: no search over 1..k_odd+4 stands
-    in for the construction.
+    in for the construction. The hit is held to the theorem's two claims as
+    well: a hit above k_odd + 4 or with more than three set bits raises
+    TheoremViolationError too.
     """
     case, params = classify(k_odd)
     candidates, pivot = construct_candidates(k_odd, case, params)
     for candidate in candidates:
         if thue_morse(k_odd * candidate):
+            if candidate > k_odd + 4 or candidate.bit_count() > 3:
+                raise TheoremViolationError(
+                    f"constructed hit {candidate} for k_odd={k_odd} under {case.name} "
+                    "is above k_odd + 4 or has more than three set bits"
+                )
             return case, params, candidates, pivot, candidate
     raise TheoremViolationError(
         f"no constructed candidate {candidates} works for k_odd={k_odd} under {case.name}"
@@ -275,214 +282,85 @@ def certify(k: int) -> WitnessCertificate:
     return WitnessCertificate(k, k_odd, shift, case, params, candidates, pivot, hit)
 
 
-_SHAPELESS = (
-    CaseLabel.AllOnesOddLen,
-    CaseLabel.AllOnesEvenLen,
-    CaseLabel.Lemma2_Palindrome,
-    CaseLabel.Lemma5_tGtU_gap,
-)
-
-
-def _low(word: str, count: int) -> str:
-    return word[len(word) - count:]
+# word_shape's displays, keyed by case name: (params, word of k) -> the carry region, the
+# bits the paper displays between the top of one product and the bottom of the other
+_DISPLAYS = {
+    "Lemma1": lambda p, word: "1" + "0" * p["tail_ones"],
+    "Lemma2_rLtU": lambda p, word: (
+        "1" + "0" * (p["tail_ones"] - p["lead_ones"] - 1) + "1" * (p["lead_ones"] - 1) + "01"
+    ),
+    "Lemma2_rGtU": lambda p, word: "10" + "1" * (p["tail_ones"] - 2) + "00",
+    "Lemma2_vOdd": lambda p, word: "1" + "0" * (p["mid_ones"] + 1) + "1" * (p["tail_ones"] - 2) + "01",
+    "Lemma2_vEven_uGe4": lambda p, word: "0" + "1" * p["mid_ones"] + "0" + "1" * (p["tail_ones"] - 3) + "011",
+    "Lemma2_u2_U4_1101": lambda p, word: "1" + "0" * (p["mid_ones"] - 1) + "1000",
+    "Lemma2_u2_U5_11000": lambda p, word: "1" + "0" * (p["mid_ones"] - 1) + "1001",
+    "Lemma2_u2_U5_11001": lambda p, word: "1" + "0" * (p["mid_ones"] + 3),
+    "Lemma3_rLtU": lambda p, word: (
+        "1" + "0" * (p["tail_ones"] - p["lead_ones"] - 1) + "1" * (p["lead_ones"] - 1) + "01"
+    ),
+    "Lemma3_rGtU": lambda p, word: "10" + "1" * (p["tail_ones"] - 1) + "0",
+    "Lemma4": lambda p, word: "1" + "0" * (p["tail_ones"] + p["lead_zeros"] + 1),
+    "Lemma5_tSmall": lambda p, word: (
+        "1" + "0" * (p["gap_zeros"] + 1) + "1" * (p["tail_ones"] - p["gap_zeros"] - 1)
+        + "0" + "1" * p["gap_zeros"]
+    ),
+    "Lemma5_tEq_u_s_eq": lambda p, word: "1" + "0" * (p["gap_zeros"] + p["tail_ones"] + 1),
+    # then the bit of k's word at 2u, u = tail_ones, and u copies of its complement
+    "Lemma5_tEq_u_s_big": lambda p, word: (
+        "10" + "1" * (p["gap_zeros"] - 1)
+        + word[2 * p["tail_ones"]] + "10"[int(word[2 * p["tail_ones"]])] * p["tail_ones"]
+    ),
+    "Lemma6_tSmall": lambda p, word: (
+        "1" + "0" * (p["gap_zeros"] - 1) + "10" + "1" * (p["tail_ones"] - p["gap_zeros"] - 1)
+        + "0" + "1" * (p["gap_zeros"] - 2) + "01"
+    ),
+    "Lemma6_tEqU_U2u": lambda p, word: "1" + "0" * p["gap_zeros"] + "1" * p["tail_ones"] + "0",
+    "Lemma6_tEqU_U2u1_one": lambda p, word: "11" + "0" * p["gap_zeros"] + "1" * (p["tail_ones"] - 1) + "0",
+    "Lemma6_tEqU_U2u1_zero": lambda p, word: (
+        "10" + "1" * (p["tail_ones"] - 1) + "0" + "1" * (p["tail_ones"] - 1)
+    ),
+    "Lemma6_tGtU": lambda p, word: "1" + "0" * (p["tail_ones"] - 1) + "1" * (p["tail_ones"] - 1) + "01",
+}
+# the two displays that reach below the shift b: (params, width of the lower word) -> how
+# many of the lower word's bits stay under the display
+_KEEPS = {
+    "Lemma4": lambda p, low: low - p["lead_zeros"] - p["tail_ones"] - 1,
+    "Lemma6_tEqU_U2u1_zero": lambda p, low: low - 2 * p["tail_ones"],
+}
+_SHAPELESS = tuple(case for case in CaseLabel if case._name_ not in _DISPLAYS)
 
 
 def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
-    """Predicted binary word of k times the constructed candidate, assembled from slices.
+    """Predicted binary word of k times the constructed candidate, spliced around its display.
 
-    Each supported case concatenates slices of the words of k and of k
-    times the construction's pivot, the auxiliary product, with short
-    literal blocks. Slice widths are anchored to the actual width of the
-    auxiliary product, which can differ by one from what the run arithmetic
-    alone would suggest. Cases without a displayed decomposition raise
-    UnsupportedCaseError; what construct_candidates refuses raises its ValueError.
+    With n the last candidate and m its pivot (1 for a single candidate),
+    k*n is one product shifted by b over another: for n = m*2^b + 1 the
+    upper word is k*m's and the lower is k's, and for n = 2^(w - 1) + m,
+    with w the width of k and b = w - 1, the upper is k's and the lower
+    k*m's. The shape is
+
+        upper[:len(upper) + b - keep - len(display)] + display + lower[len(lower) - keep:]
+
+    where display is the case's carry region as the paper writes it out and
+    keep is b, so the display takes the place of the upper word's lowest
+    bits. Lemma4 and Lemma6_tEqU_U2u1_zero keep fewer, len(k*m) -
+    lead_zeros - tail_ones - 1 and len(k*m) - 2*tail_ones, because their
+    displays reach below the shift. Cases without a display raise
+    UnsupportedCaseError; what construct_candidates refuses raises its
+    ValueError.
     """
     if case in _SHAPELESS:
         raise UnsupportedCaseError(f"no displayed product decomposition for {case.name}")
-    _, pivot = construct_candidates(k_odd, case, params)
-    word = to_word(k_odd)
-    aux = word if pivot is None else to_word(k_odd * pivot)
+    candidates, pivot = construct_candidates(k_odd, case, params)
+    final, multiple = candidates[-1], pivot or 1
+    word, product = to_word(k_odd), to_word(k_odd * multiple)
+    if final - multiple == 1 << params["length"] - 1:  # n = 2^(w - 1) + m
+        upper, lower, shift = word, product, params["length"] - 1
+    else:  # n = m * 2^b + 1
+        upper, lower, shift = product, word, ((final - 1) // multiple).bit_length() - 1
     try:
-        width = params["length"]
-        if case is CaseLabel.Lemma1:
-            tail = params["tail_ones"]
-            return word[:width - tail - 1] + "1" + "0" * tail + _low(word, width - 1)
-        if case in (CaseLabel.Lemma2_rLtU, CaseLabel.Lemma3_rLtU):
-            tail = params["tail_ones"]
-            lead = params["lead_ones"]
-            return (
-                word[:width - tail - 1]
-                + "1"
-                + "0" * (tail - lead - 1)
-                + "1" * (lead - 1)
-                + "01"
-                + _low(word, width - lead - 1)
-            )
-        if case is CaseLabel.Lemma2_rGtU:
-            tail = params["tail_ones"]
-            return (
-                aux[:len(aux) - tail - 2]
-                + "10"
-                + "1" * (tail - 2)
-                + "00"
-                + _low(word, width - tail - 1)
-            )
-        if case is CaseLabel.Lemma2_vOdd:
-            tail = params["tail_ones"]
-            mid = params["mid_ones"]
-            return (
-                word[:width - mid - tail - 2]
-                + "1"
-                + "0" * (mid + 1)
-                + "1" * (tail - 2)
-                + "01"
-                + _low(word, width - tail - 1)
-            )
-        if case is CaseLabel.Lemma2_vEven_uGe4:
-            tail = params["tail_ones"]
-            mid = params["mid_ones"]
-            return (
-                aux[:len(aux) - mid - tail - 2]
-                + "0"
-                + "1" * mid
-                + "0"
-                + "1" * (tail - 3)
-                + "011"
-                + _low(word, width - tail - 1)
-            )
-        if case is CaseLabel.Lemma2_u2_U4_1101:
-            mid = params["mid_ones"]
-            return (
-                word[:width - mid - 4]
-                + "1"
-                + "0" * (mid - 1)
-                + "1000"
-                + _low(word, width - 4)
-            )
-        if case is CaseLabel.Lemma2_u2_U5_11000:
-            mid = params["mid_ones"]
-            return (
-                aux[:len(aux) - mid - 4]
-                + "1"
-                + "0" * (mid - 1)
-                + "1001"
-                + _low(word, width - 5)
-            )
-        if case is CaseLabel.Lemma2_u2_U5_11001:
-            mid = params["mid_ones"]
-            return (
-                aux[:len(aux) - mid - 4]
-                + "1"
-                + "0" * (mid + 3)
-                + _low(word, width - 5)
-            )
-        if case is CaseLabel.Lemma3_rGtU:
-            tail = params["tail_ones"]
-            return (
-                word[:width - tail - 2]
-                + "10"
-                + "1" * (tail - 1)
-                + "0"
-                + _low(word, width - tail - 1)
-            )
-        if case is CaseLabel.Lemma4:
-            tail = params["tail_ones"]
-            below = params["lead_zeros"]
-            return (
-                word[:width - tail - 2]
-                + "1"
-                + "0" * (tail + below + 1)
-                + _low(aux, len(aux) - below - tail - 1)
-            )
-        if case is CaseLabel.Lemma5_tSmall:
-            tail = params["tail_ones"]
-            gap = params["gap_zeros"]
-            return (
-                word[:width - tail - gap - 2]
-                + "1"
-                + "0" * (gap + 1)
-                + "1" * (tail - gap - 1)
-                + "0"
-                + "1" * gap
-                + _low(word, width - tail - gap)
-            )
-        if case is CaseLabel.Lemma5_tEq_u_s_eq:
-            tail = params["tail_ones"]
-            gap = params["gap_zeros"]
-            return (
-                word[:width - tail - gap - 2]
-                + "1"
-                + "0" * (gap + tail + 1)
-                + _low(word, width - tail - gap)
-            )
-        if case is CaseLabel.Lemma5_tEq_u_s_big:
-            tail = params["tail_ones"]
-            gap = params["gap_zeros"]
-            probe = word[2 * tail]
-            flipped = "0" if probe == "1" else "1"
-            return (
-                word[:width - tail - gap - 2]
-                + "10"
-                + "1" * (gap - 1)
-                + probe
-                + flipped * tail
-                + _low(word, width - tail - gap - 1)
-            )
-        if case is CaseLabel.Lemma6_tSmall:
-            tail = params["tail_ones"]
-            gap = params["gap_zeros"]
-            return (
-                aux[:len(aux) - gap - tail - 2]
-                + "1"
-                + "0" * (gap - 1)
-                + "10"
-                + "1" * (tail - gap - 1)
-                + "0"
-                + "1" * (gap - 2)
-                + "01"
-                + _low(word, width - tail - gap)
-            )
-        if case is CaseLabel.Lemma6_tEqU_U2u:
-            tail = params["tail_ones"]
-            gap = params["gap_zeros"]
-            return (
-                aux[:len(aux) - gap - tail - 2]
-                + "1"
-                + "0" * gap
-                + "1" * tail
-                + "0"
-                + _low(word, width - 2 * tail)
-            )
-        if case is CaseLabel.Lemma6_tEqU_U2u1_one:
-            tail = params["tail_ones"]
-            gap = params["gap_zeros"]
-            return (
-                aux[:len(aux) - gap - tail - 2]
-                + "11"
-                + "0" * gap
-                + "1" * (tail - 1)
-                + "0"
-                + _low(word, width - 2 * tail - 1)
-            )
-        if case is CaseLabel.Lemma6_tEqU_U2u1_zero:
-            tail = params["tail_ones"]
-            return (
-                word[:width - tail - 2]
-                + "10"
-                + "1" * (tail - 1)
-                + "0"
-                + "1" * (tail - 1)
-                + _low(aux, len(aux) - 2 * tail)
-            )
-        if case is CaseLabel.Lemma6_tGtU:
-            tail = params["tail_ones"]
-            return (
-                aux[:len(aux) - 2 * tail - 1]
-                + "1"
-                + "0" * (tail - 1)
-                + "1" * (tail - 1)
-                + "01"
-                + _low(word, width - tail - 1)
-            )
+        display = _DISPLAYS[case._name_](params, word)
+        keep = _KEEPS[case._name_](params, len(lower)) if case._name_ in _KEEPS else shift
     except KeyError as missing:
         raise ValueError(f"case {case.name} needs parameter {missing}") from None
+    return upper[:len(upper) + shift - keep - len(display)] + display + lower[len(lower) - keep:]

@@ -8,12 +8,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmwitness.cli import parse_certificate, serialize_certificate
+from tmwitness.cli import parse_certificate, run, serialize_certificate
 from tmwitness.digitcore import TheoremViolationError, run_decompose, thue_morse, to_word
 from tmwitness.genbase import GenBaseQuery, conjecture_scan
 from tmwitness.scanner import frequency, scan_theorem, scan_weight_family
 from tmwitness.witness import (
     _ARMS,
+    _DISPLAYS,
     _SHAPELESS,
     CaseLabel,
     UnsupportedCaseError,
@@ -197,11 +198,15 @@ def _reference_construct(k_odd, case, params):
 
 def _assert_matches_reference(k):
     # classify and construct_candidates against their references; key order is
-    # part of the certificate bytes, so compare it too
+    # part of the certificate bytes, so compare it too. A shaped case's word
+    # shape is the product's word itself
     case, params = classify(k)
     want_case, want_params = _reference_classify(k)
     assert (case, list(params.items())) == (want_case, list(want_params.items())), k
-    assert construct_candidates(k, case, params) == _reference_construct(k, want_case, want_params), k
+    candidates = construct_candidates(k, case, params)
+    assert candidates == _reference_construct(k, want_case, want_params), k
+    if case not in _SHAPELESS:
+        assert word_shape(k, case, params) == to_word(k * candidates[0][-1]), k
 
 
 EDGE_WORDS = {
@@ -425,6 +430,12 @@ def test_construct_has_one_arm_per_case():
     assert _ARMS.keys() == CaseLabel.__members__.keys()
 
 
+def test_word_shape_has_a_display_or_none_per_case():
+    shapeless = {case.name for case in _SHAPELESS}
+    assert _DISPLAYS.keys().isdisjoint(shapeless)
+    assert _DISPLAYS.keys() | shapeless == CaseLabel.__members__.keys()
+
+
 @pytest.mark.parametrize(
     "case", ["Lemma1", None, 5, enum.Enum("Other", "Lemma1").Lemma1], ids=["name", "none", "int", "foreign_member"]
 )
@@ -520,8 +531,12 @@ def test_word_shape_matches_product_sweep():
 
 
 def test_word_shape_missing_parameter():
-    with pytest.raises(ValueError, match="needs parameter"):
-        word_shape(9, CaseLabel.Lemma1, {"length": 4})
+    # construct_candidates reads Lemma1's tail_ones; only the display reads mid_ones
+    for k, missing in ((9, "tail_ones"), (0b1101011, "mid_ones")):
+        case, params = classify(k)
+        del params[missing]
+        with pytest.raises(ValueError, match=f"case {case.name} needs parameter '{missing}'"):
+            word_shape(k, case, params)
 
 
 def _dud(k, case, params):
@@ -557,3 +572,33 @@ def test_certify_violation_when_nothing_hits(monkeypatch):
     monkeypatch.setattr("tmwitness.witness.thue_morse", lambda n: 0)
     with pytest.raises(TheoremViolationError):
         certify(3)
+
+
+_WIDE_K = random.Random(1009).getrandbits(1000) | 1 | 1 << 999
+
+
+def _first_hit(multipliers):
+    return next(n for n in multipliers if thue_morse(_WIDE_K * n))
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        # weight 3, so only the bound is broken
+        lambda: _first_hit((1 << 1000) + (1 << j) + 1 for j in range(1, 1000)),
+        # at most 2^10, so only the weight is broken
+        lambda: _first_hit(n for n in range(15, 1 << 10) if n.bit_count() == 4),
+    ],
+    ids=["above_k_plus_4", "weight_4"],
+)
+def test_a_hit_outside_the_theorem_fails_on_a_wide_word(capsys, monkeypatch, planted):
+    hit = planted()
+    assert (hit > _WIDE_K + 4) != (hit.bit_count() > 3)
+    case, _ = classify(_WIDE_K)
+    monkeypatch.setitem(_ARMS, case.name, lambda k, w, p: ((hit,), None))
+    with pytest.raises(TheoremViolationError, match="above k_odd \\+ 4 or has more than three set bits"):
+        certify(_WIDE_K)
+    assert run(["witness", str(_WIDE_K)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"constructed hit {hit} for k_odd={_WIDE_K}" in captured.err
