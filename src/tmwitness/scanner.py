@@ -73,14 +73,17 @@ _CASE_NAMES = {case.value: case.name for case in CaseLabel}
 _CORE_CHUNK = 1024
 
 
-def _is_even_power_of_two(value: int) -> bool:
-    # 2^(2r) with r >= 1: a power of two whose width is odd
-    return value >= 4 and value.bit_count() == 1 and value.bit_length() % 2 == 1
+def _family_gaps(k_max: int) -> dict[int, int]:
+    """The characterization's members up to k_max, each mapped to its gap f(k) - k.
 
-
-def _is_shifted_power(k: int) -> bool:
-    # 2^r + 1 with r >= 2
-    return k >= 5 and (k - 1).bit_count() == 1
+    f(k) = k exactly at 1 and 2^r + 1 (r >= 2), f(6) = 7, and f(k) = k + 4
+    exactly at 4^r - 1 (r >= 1); every other k has f(k) < k. The two infinite
+    families never meet, as 2^r + 1 is 1 mod 4 for r >= 2 and 4^r - 1 is 3.
+    """
+    gaps = {1: 0, 6: 1}
+    gaps.update(((1 << r) + 1, 0) for r in range(2, k_max.bit_length()))
+    gaps.update(((1 << 2 * r) - 1, 4) for r in range(1, k_max.bit_length() // 2 + 1))
+    return {k: gap for k, gap in gaps.items() if k <= k_max}
 
 
 def _check_agreement(k: int, least: int, hit: int) -> None:
@@ -110,23 +113,6 @@ def _core_results(cores: Sequence[int]) -> list[tuple[int, int, int]]:
         _check_agreement(core, least, hit)
         results.append((least, case._value_, zero))  # .value is a Python-level property
     return results
-
-
-def _gap_flag(k: int, gap: int) -> tuple[str]:
-    """The flag of a gap >= 0 at k, once the characterization's rule for that gap holds."""
-    if gap > 4 or gap in (2, 3):
-        raise TheoremViolationError(f"characterization breached at k={k}: gap {gap}")
-    if gap == 4:
-        if not _is_even_power_of_two(k + 1):
-            raise TheoremViolationError(f"gap-4 coefficient k={k} is not one below 4^r")
-        return ("GapEquals4",)
-    if gap == 1:
-        if k != 6:
-            raise TheoremViolationError(f"gap-1 coefficient k={k} is not 6")
-        return ("GapEquals1",)
-    if k != 1 and not _is_shifted_power(k):
-        raise TheoremViolationError(f"gap-0 coefficient k={k} is not 1 or 2^r+1")
-    return ("GapEquals0",)
 
 
 def _column(limit: int):
@@ -211,6 +197,8 @@ def _rows(k_min: int, k_max: int, below: Sequence[int], results: Iterator) -> It
     The results an even k may still need are kept in three columns, a few
     bytes per core: below's cores first, then each odd k <= k_max // 2. An
     even k finds its core in below by bisection, or past it by arithmetic.
+    Every k's gap is checked against _family_gaps both ways: a member must
+    have its gap there, and any other k a negative one.
     """
     import logging  # loaded by a scan, not by every start of the package
 
@@ -221,7 +209,7 @@ def _rows(k_min: int, k_max: int, below: Sequence[int], results: Iterator) -> It
         cases.append(case)
         zeros.append(zero)
     base, half = k_min | 1, k_max // 2  # no even k in range has a larger core than half
-    names = _CASE_NAMES
+    names, gaps = _CASE_NAMES, _family_gaps(k_max)
     for k in range(k_min, k_max + 1):
         if k & 1:
             least, case, zero = next(results)
@@ -233,14 +221,20 @@ def _rows(k_min: int, k_max: int, below: Sequence[int], results: Iterator) -> It
             core = k >> ((k & -k).bit_length() - 1)
             at = len(below) + ((core - base) >> 1) if core >= base else bisect_left(below, core)
             least, case, zero = fs[at], cases[at], zeros[at]
-        flags = _gap_flag(k, least - k) if least >= k else ()  # a negative gap breaks no rule
+        gap = least - k
+        flags = ()
+        if gap >= 0 or k in gaps:  # a negative gap off the table breaks no rule
+            if gaps.get(k) != gap:
+                should = gaps.get(k, "negative")
+                raise TheoremViolationError(f"characterization breached at k={k}: gap {gap}, not {should}")
+            flags = (f"GapEquals{gap}",)
         if zero > k + 2:
             flags += ("ZeroMinExceedsKplus2",)  # sorts after every gap flag
         weight = least.bit_count()
         if weight > 3:
             # a sparse witness no larger than k+4 still exists; the minimum just is not it
             log.info("least witness for k=%d is %d with weight %d", k, least, weight)
-        yield k, least, least - k, names[case], least, weight, zero, flags
+        yield k, least, gap, names[case], least, weight, zero, flags
 
 
 def scan_theorem(k_min: int, k_max: int, jobs: int = 1) -> list[ScanRecord]:

@@ -238,7 +238,7 @@ def construct_candidates(
     Single-candidate arms claim their product parity outright; triple arms
     return (1, m, n) where m is the pivot and the three product parities
     cannot all be even. Every candidate is at most k_odd + 4 and carries at
-    most three set bits.
+    most three set bits. params are taken on trust as classify(k_odd)'s.
     """
     if type(case) is not CaseLabel:
         raise ValueError(f"unknown case {case!r}")
@@ -347,7 +347,7 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
     lead_zeros - tail_ones - 1 and len(k*m) - 2*tail_ones, because their
     displays reach below the shift. Cases without a display raise
     UnsupportedCaseError; what construct_candidates refuses raises its
-    ValueError.
+    ValueError, and then a case and params not classify(k_odd)'s raise one.
     """
     if case in _SHAPELESS:
         raise UnsupportedCaseError(f"no displayed product decomposition for {case.name}")
@@ -363,4 +363,6 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
         keep = _KEEPS[case._name_](params, len(lower)) if case._name_ in _KEEPS else shift
     except KeyError as missing:
         raise ValueError(f"case {case.name} needs parameter {missing}") from None
+    if (case, params) != classify(k_odd):
+        raise ValueError(f"{case.name} with {params} is not the classification of k_odd={k_odd}")
     return upper[:len(upper) + shift - keep - len(display)] + display + lower[len(lower) - keep:]

@@ -321,6 +321,19 @@ def test_scan_violation_exit_code(capsys, monkeypatch):
     assert "theorem violation" in err
 
 
+@pytest.mark.parametrize("k, least", [(17, 15), (63, 5)])
+def test_scan_member_without_its_gap_exit_code(capsys, monkeypatch, k, least):
+    # each planted minimum is at most k's constructed hit, so only the gap table catches it
+    walk = scanner.oracle.f_and_zero_min
+    monkeypatch.setattr(
+        "tmwitness.scanner.oracle.f_and_zero_min", lambda n: (least, walk(n)[1]) if n == k else walk(n)
+    )
+    code, out, err = invoke(capsys, "scan", "--from", "1", "--to", "64", "--jobs", "1")
+    assert code == 3
+    assert f"characterization breached at k={k}" in err
+    assert f"\n{{\"k\":{k}," not in out
+
+
 @pytest.mark.parametrize("argv", [("witness", "3"), ("scan", "--from", "3", "--to", "3", "--jobs", "1")])
 def test_dud_candidate_exit_code(capsys, monkeypatch, argv):
     # doubling keeps k = 3's even weight, so the only candidate misses

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tmwitness import oracle
-from tmwitness.digitcore import TheoremViolationError, thue_morse
+from tmwitness.digitcore import TheoremViolationError, shifted_difference_digit_sum, thue_morse
 from tmwitness.scanner import (
     THEOREM_HEADER,
     FrequencyRecord,
     ScanRecord,
     WeightFamilyRecord,
+    _family_gaps,
     emit_csv,
     frequency,
     scan_theorem,
@@ -166,10 +167,73 @@ def test_scan_aborts_when_oracle_beats_certificate(monkeypatch):
         scan_theorem(1, 1)
 
 
-def test_scan_aborts_on_flag_invariant_breach(monkeypatch):
-    monkeypatch.setattr("tmwitness.scanner._is_even_power_of_two", lambda value: False)
-    with pytest.raises(TheoremViolationError, match="4\\^r"):
+def test_scan_aborts_on_a_gap_off_the_table(monkeypatch):
+    # f(15) = 19 is right, but a table without 15 allows it only a negative gap
+    monkeypatch.setattr(
+        "tmwitness.scanner._family_gaps", lambda k_max: {k: gap for k, gap in _family_gaps(k_max).items() if k != 15}
+    )
+    with pytest.raises(TheoremViolationError, match="k=15: gap 4, not negative"):
         scan_theorem(15, 15)
+
+
+def planted(k_planted, least):
+    """An f_and_zero_min that answers least for k_planted and the true walk elsewhere."""
+    walk = oracle.f_and_zero_min
+    return lambda k: (least, walk(k)[1]) if k == k_planted else walk(k)
+
+
+# both planted minima are at most the construction's hit (17 and 67), so only
+# the table can catch them: a member whose gap is negative
+@pytest.mark.parametrize("k, least", [(17, 15), (63, 5)])
+def test_scan_aborts_on_a_member_without_its_gap(monkeypatch, k, least):
+    monkeypatch.setattr("tmwitness.scanner.oracle.f_and_zero_min", planted(k, least))
+    with pytest.raises(TheoremViolationError, match=f"k={k}: gap {least - k}, not {_family_gaps(k)[k]}"):
+        scan_theorem(1, 64)
+
+
+def test_family_gaps_lists_the_characterization():
+    assert _family_gaps(64) == {1: 0, 6: 1, 5: 0, 9: 0, 17: 0, 33: 0, 3: 4, 15: 4, 63: 4}
+    assert [_family_gaps(k_max) for k_max in (1, 4, 5)] == [{1: 0}, {1: 0, 3: 4}, {1: 0, 3: 4, 5: 0}]
+    assert _family_gaps(62) == {k: gap for k, gap in _family_gaps(64).items() if k <= 62}
+
+
+def _proven_gap(k: int) -> int:
+    """f(k) - k for a member k of the characterization, from the steps of its proof.
+
+    The steps are checked for this k: a claim over every n below a bound is
+    checked by masks or by an identity that holds for every such n, not by
+    sampling n.
+    """
+    if k in (1, 6):
+        return oracle.f_exact(k) - k  # the walk is the proof for a small k
+    if k & 3 == 1:  # k = 2^r + 1, r >= 2
+        r = (k - 1).bit_length() - 1
+        assert k == (1 << r) + 1 and r >= 2
+        # n < 2^r: k*n = (n << r) + n, two copies of n that do not overlap,
+        # since every such n is inside the low mask; so s2(k*n) = 2*s2(n)
+        low = (1 << r) - 1
+        assert low & (low << r) == 0
+        assert (k << r).bit_count() == 2  # n = 2^r
+        assert (k * k).bit_count() == 3  # n = k: 2^(2r) + 2^(r+1) + 1
+        return 0
+    m = k.bit_length()  # k = 4^r - 1 = 2^m - 1 with m = 2r
+    assert k == (1 << m) - 1 and m % 2 == 0
+    # 1 <= n < 2^m: k*n = n*2^m - n, and the digit sum of that difference,
+    # s2(n - 1) + m - s2(n - 1), is m for every such n, so even
+    for n in (1, 2, 1 << m - 1, (1 << m) - 1):
+        assert shifted_difference_digit_sum(n, m, n) == m == (k * n).bit_count()
+    assert (k << m).bit_count() == m  # n = 2^m
+    assert (k * ((1 << m) + 1)).bit_count() == 2 * m  # n = 2^m + 1: 2^(2m) - 1
+    # n = 2^m + 2 has the weight of its half, 2^(m - 1) + 1, which is below 2^m
+    assert (k * ((1 << m) + 2)).bit_count() == (k * ((1 << m - 1) + 1)).bit_count() == m
+    assert (k * ((1 << m) + 3)).bit_count() == m + 1  # n = 2^m + 3, odd
+    return 4
+
+
+def test_every_family_member_through_2_to_64_has_its_proven_gap():
+    gaps = _family_gaps((1 << 64) + 1)
+    assert len(gaps) == 2 + 63 + 32  # 1 and 6, 2^r + 1 for r = 2..64, 4^r - 1 for r = 1..32
+    assert {k: _proven_gap(k) for k in gaps} == gaps
 
 
 @pytest.mark.parametrize("k", [195, 390])

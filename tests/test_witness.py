@@ -539,6 +539,14 @@ def test_word_shape_missing_parameter():
             word_shape(k, case, params)
 
 
+def test_word_shape_rejects_params_that_classify_never_gives():
+    # classify(9) is Lemma1 with length 4; a width of 5 is not 9's
+    with pytest.raises(ValueError, match="not the classification of k_odd=9"):
+        word_shape(9, CaseLabel.Lemma1, {"length": 5, "tail_ones": 1})
+    with pytest.raises(ValueError, match="not the classification of k_odd=9"):
+        word_shape(9, CaseLabel.Lemma6_tGtU, classify(9)[1])
+
+
 def _dud(k, case, params):
     # doubling keeps the weight, so this candidate misses whenever k's weight is even
     return (2,), None
