@@ -266,18 +266,22 @@ def scan_weight_family(exponent_min: int, exponent_max: int, bit_limit: int) -> 
     return records
 
 
-_BLOCK_LOG = 16  # on freq_grid, blocks of 2^14..2^17 time about the same and 2^18 is slower
+# the largest block, 2^16 lanes: with 2^15, k = 3 at N = 4^15 takes 1.1-1.4x as
+# long and a freq_grid round is not surely faster (0.88-1.13x); with 2^17 the
+# round takes 1.1-1.25x as long (four runs of best of 5 and 7, one process on a
+# 2-core x86-64 box, Python 3.11)
+_BLOCK_LOG = 16
 
 
-def _add_to_lanes(planes: list[int], start: int, bits: str, full: int) -> None:
-    """Add k*2^start to every lane, where bits holds k's binary digits, least significant first.
+def _add_to_lanes(planes: list[int], bits: str, full: int) -> None:
+    """Add k to every lane, where bits holds k's binary digits, least significant first.
 
     planes[j] holds bit j of every lane's value and full has one set bit per
     lane. This is a ripple-carry adder run on all lanes at once; a carry out
     of the top plane is dropped, so lanes count modulo 2^len(planes).
     """
     carry = 0
-    index = start
+    index = 0
     for bit in bits:
         if index == len(planes):
             return
@@ -296,31 +300,50 @@ def _add_to_lanes(planes: list[int], start: int, bits: str, full: int) -> None:
         index += 1
 
 
-def _multiples(bits: str, lanes_log: int, width: int) -> list[int]:
-    """Bit planes of k*i for the lanes i < 2^lanes_log, built by doubling the lanes.
+def _first_block(bits: str, lanes_log: int, width: int) -> tuple[int, list[int]]:
+    """The first block of frequency: bit planes of k*i for the lanes i < 2^lanes_log.
 
-    The upper half of the lanes is the lower half plus k*2^level.
+    Each doubling adds k*2^level to the lower half of the lanes, plane by
+    plane with a ripple carry, and splices the sum above it in place; a carry
+    out of the top plane is dropped. The addend has no bits below level, so
+    plane level is final once doubled: it is folded into the XOR of the planes
+    below it, all that later blocks read of them. Products stay below
+    2^(level+1+w) for a w-bit k, so no plane above that is touched. Returns
+    the XOR of planes 0..lanes_log-1 and the planes from lanes_log up.
     """
     planes = [0] * width
+    fixed = 0
     for level in range(lanes_log):
         size = 1 << level
-        upper = planes.copy()
-        _add_to_lanes(upper, level, bits, (1 << size) - 1)
-        planes = [low | high << size for low, high in zip(planes, upper)]
-    return planes
+        full = (1 << size) - 1
+        carry = 0
+        for index, bit in zip(range(level, width), bits + "0"):
+            plane = planes[index]
+            if bit == "1":
+                planes[index] = plane | (plane ^ carry ^ full) << size
+                carry |= plane
+            else:
+                planes[index] = plane | (plane ^ carry) << size
+                carry &= plane
+        fixed = (fixed | fixed << size) ^ planes[level]
+    return fixed, planes[lanes_log:]
 
 
 def frequency(k: int, sample_count: int) -> FrequencyRecord:
     """Exact rational frequency of odd product weight over multipliers 1..sample_count.
 
     The count is bit-sliced. The multipliers n = 0..sample_count go in blocks
-    of up to 2^16 consecutive lanes, and planes[j] is one int that holds bit j
-    of k*n for every lane of the block. The weight parity of each product is
-    then the XOR of the planes, so one bit_count counts a whole block, and the
-    next block is this one plus k*2^16, added in every lane at once; the
-    planes below that addend's lowest bit never change. k's factor of two is
-    dropped first, as s2(2m) = s2(m), and n = 0 has weight 0 and adds
-    nothing.
+    of 2^L consecutive lanes, and planes[j] is one int that holds bit j of k*n
+    for every lane of the block. The weight parity of each product is then
+    the XOR of the planes, so one bit_count counts a whole block, and the next
+    block is this one plus k*2^L, added in every lane at once; the planes
+    below that addend's lowest bit never change. The first block is built by
+    doubling its lanes (see _first_block), at about the cost of four later
+    blocks, and each later block pays a fixed cost per plane, so L is sized
+    from sample_count alone: 2^L is about a quarter of the lanes, at most
+    2^16, which timed close to the fastest L for every N from 10^3 to 10^6.
+    k's factor of two is dropped first, as s2(2m) = s2(m), and n = 0 has
+    weight 0 and adds nothing.
 
     Invariant: there are width = (k*sample_count).bit_length() planes, so
     k*n < 2^width for every n <= sample_count and no counted lane loses a
@@ -334,17 +357,17 @@ def frequency(k: int, sample_count: int) -> FrequencyRecord:
     if sample_count < 1:
         raise ValueError("need at least one sample")
     bits = format(odd, "b")[::-1]
-    lanes_log = min(_BLOCK_LOG, sample_count.bit_length())
-    planes = _multiples(bits, lanes_log, (odd * sample_count).bit_length())
-    fixed = reduce(xor, planes[:lanes_log], 0)
-    moving = planes[lanes_log:]
+    lanes_log = min(_BLOCK_LOG, max(1, sample_count.bit_length() - 2))
+    fixed, moving = _first_block(bits, lanes_log, (odd * sample_count).bit_length())
     full = (1 << (1 << lanes_log)) - 1
-    blocks, rest = divmod(sample_count + 1, 1 << lanes_log)
+    blocks, rest = divmod(sample_count + 1, 1 << lanes_log)  # blocks >= 1, as 2^L <= sample_count + 1
     hits = 0
-    for _ in range(blocks):
+    for block in range(blocks):
+        if block:  # so no add follows the last block, where nothing would read it
+            _add_to_lanes(moving, bits, full)
         hits += reduce(xor, moving, fixed).bit_count()
-        _add_to_lanes(moving, 0, bits, full)
     if rest:
+        _add_to_lanes(moving, bits, full)
         hits += (reduce(xor, moving, fixed) & ((1 << rest) - 1)).bit_count()
     return FrequencyRecord(k, sample_count, Fraction(hits, sample_count))
 

@@ -6,6 +6,8 @@ import stat
 import threading
 from concurrent.futures import Future
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +19,9 @@ from tmwitness.scanner import (
     FrequencyRecord,
     ScanRecord,
     WeightFamilyRecord,
+    _add_to_lanes,
     _family_gaps,
+    _first_block,
     emit_csv,
     frequency,
     scan_theorem,
@@ -332,15 +336,58 @@ def _odd_weight_counts(k, count):
 
 
 def test_frequency_matches_pointwise_windows():
-    # the counter works in blocks of 2^16 multipliers, n = 0 included, and
-    # sizes its blocks by count.bit_length(); these counts sit on both sides
-    # of each of those edges
-    counts = (1, 2, 3, 7, 63, 64, 65, 500, 1000, 4097, 2**16 - 2, 2**16 - 1, 2**16, 2**17 - 1, 2**17)
+    # the counter builds a first block of 2^L lanes, n = 0 included, with
+    # L = min(16, max(1, count.bit_length() - 2)), and adds k*2^L to step to
+    # each next block, the last masked to the count. These counts sit at its
+    # edges: count + 1 a whole number of blocks, so no add follows the last
+    # (7, 63, 3071, 4095, 2^16 - 1, 2^17 - 1); 2^17, the first count whose
+    # blocks are 2^16 lanes; and both sides of each bit_length step
+    counts = (1, 2, 3, 4, 7, 8, 63, 64, 65, 500, 1000, 3071, 4095, 4096, 4097)
+    counts += (2**16 - 2, 2**16 - 1, 2**16, 2**17 - 1, 2**17)
     word = int("10" * 1024 + "1101" * 512, 2)  # 4096 bits, odd
     for k in (1, 2, 3, 6, 12, 51, 4095, 2**60 + 1, 2**62 - 1, 2**100 + 1, word):
         direct = _odd_weight_counts(k, max(counts))
         for count in counts:
             assert frequency(k, count).ones_frequency == Fraction(direct[count], count), (k, count)
+
+
+def _reference_multiples(bits, lanes_log, width):
+    """Bit planes of k*i for the lanes i < 2^lanes_log: the reference for _first_block.
+
+    Each doubling copies the planes, adds k*2^level to the copy and zips the
+    two halves into fresh ints.
+    """
+    planes = [0] * width
+    for level in range(lanes_log):
+        size = 1 << level
+        upper = planes.copy()
+        _add_to_lanes(upper, "0" * level + bits, (1 << size) - 1)
+        planes = [low | high << size for low, high in zip(planes, upper)]
+    return planes
+
+
+def _assert_first_block_is_the_reference(bits, lanes_log, width):
+    planes = _reference_multiples(bits, lanes_log, width)
+    expected = (reduce(xor, planes[:lanes_log], 0), planes[lanes_log:])
+    assert _first_block(bits, lanes_log, width) == expected, (lanes_log, width)
+
+
+@pytest.mark.parametrize("k_bits", [1, 2, 62, 300, 4096])
+def test_first_block_builds_the_reference_planes(k_bits):
+    # the exact width holds every lane's product; the truncated ones drop the
+    # carries out of their top plane, as the lanes past a count do, but keep
+    # at least lanes_log planes, as the counter's width always does
+    k = int(("1101" * k_bits)[: k_bits - 1] + "1", 2)  # odd, of k_bits bits
+    bits = format(k, "b")[::-1]
+    for lanes_log in range(13):
+        exact = (k * ((1 << lanes_log) - 1)).bit_length()
+        for width in {exact, k_bits + lanes_log, max(lanes_log, exact - 3), max(lanes_log, exact // 2)}:
+            _assert_first_block_is_the_reference(bits, lanes_log, width)
+
+
+@given(st.integers(min_value=1, max_value=1 << 300), st.integers(min_value=0, max_value=10), st.integers(0, 320))
+def test_first_block_builds_the_reference_planes_random(k, lanes_log, extra):
+    _assert_first_block_is_the_reference(format(k, "b")[::-1], lanes_log, lanes_log + extra)
 
 
 @given(st.integers(min_value=1, max_value=1 << 200), st.integers(min_value=1, max_value=5000))
