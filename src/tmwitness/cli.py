@@ -240,11 +240,10 @@ def _dispatch(args) -> int:
     elif args.command == "zeromin":
         _emit({"k": args.k, "zero_min": oracle.zero_min(args.k)})
     elif args.command == "scan":
-        rows = scanner.scan_rows(args.k_min, args.k_max, jobs=args.jobs)
         if args.csv_path:
-            scanner.emit_csv(rows, args.csv_path)
+            scanner.scan_csv(args.k_min, args.k_max, args.csv_path, jobs=args.jobs)
         else:
-            for row in rows:
+            for row in scanner.scan_rows(args.k_min, args.k_max, jobs=args.jobs):
                 print(_object(zip(scanner.THEOREM_HEADER, row)))
     elif args.command == "weights":
         for record in scanner.scan_weight_family(args.exponent_min, args.exponent_max, args.bit_limit):

@@ -2,8 +2,11 @@
 
 The theorem scan is a pure map over odd cores whose results are consumed in
 order, so a run with worker processes is byte-identical to the sequential
-one; parallelism degree is configuration, never semantics. Any contradiction of the proven
-characterization aborts the run loudly instead of skipping the offender.
+one; parallelism degree is configuration, never semantics. The rows are
+built, checked and formatted as columns, a block of k at a time, and a block's
+rows are yielded only once the whole block is checked. Any contradiction of
+the proven characterization aborts the run loudly instead of skipping the
+offender.
 """
 
 import os
@@ -14,8 +17,8 @@ from collections import deque
 from contextlib import suppress
 from fractions import Fraction
 from functools import reduce
-from operator import xor
-from itertools import chain, islice
+from itertools import chain, compress, islice, repeat, starmap
+from operator import ge, gt, sub, xor
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import oracle
@@ -69,7 +72,12 @@ _CASE_NAMES = {case.value: case.name for case in CaseLabel}
 # odd cores per worker task: 2.3-2.7 ms of work near 2^16 or 2^18 (best of 9, one
 # x86-64 core, Python 3.11), so that dispatch and pickling cost little and a range of
 # a few thousand k has two tasks. A task that holds 2^r + 1, or 2^r - 1 with r even,
-# also walks f up to about k once: 7 ms more near 2^16, 28 ms near 2^18.
+# also walks f up to about k once: 7 ms more near 2^16, 28 ms near 2^18. A task's k
+# and the even k after them are also the parent's block. CLI scan --csv with 512,
+# 1024 and 2048, medians of two sets of 7-12 rotated runs on a 2-core x86-64 box:
+# 1..2^16 --jobs 2 0.274-0.295, 0.274-0.294 and 0.268-0.283 s; 1..2^18 --jobs 2
+# 0.68-0.77, 0.63-0.75 and 0.62-0.71 s; --jobs 1 as close. No size won both sets,
+# and each doubling adds about 0.6 MB of peak RSS.
 _CORE_CHUNK = 1024
 
 
@@ -170,71 +178,99 @@ def _in_order(tasks: list[Sequence[int]], jobs: int) -> Iterator[list[tuple[int,
 
 
 def scan_rows(k_min: int, k_max: int, jobs: int = 1) -> Iterator[tuple]:
-    """One verified row per k in ascending order, yielded as the rows are made.
+    """One verified row per k in ascending order, yielded a block at a time once the whole block is checked.
 
     A row is a plain tuple of ScanRecord's fields, cheaper to build than a
-    ScanRecord; its flags are empty when there are none.
+    ScanRecord; its flags are empty when there are none. The rows are the
+    columns of _blocks, zipped.
+    """
+    return chain.from_iterable(starmap(zip, _blocks(k_min, k_max, jobs)))
+
+
+def _blocks(k_min: int, k_max: int, jobs: int) -> Iterator[tuple]:
+    """The verified rows of k_min..k_max as blocks of ScanRecord's eight columns, in ascending k.
+
     Since s2(2m) = s2(m), an even k has its odd core's f, case and zero_min,
     so the oracles and certify run once per odd core: cores at or above k_min
     as the scan reaches them, and the cores below k_min that some even k in
     the range needs before them. jobs > 1 computes the cores in worker
-    processes and changes no row. Every gap and flag rule is checked against
-    every k here, so a scan that ends has re-proved the characterization on
-    its range, and one that breaks it raises TheoremViolationError at that k.
+    processes and changes no row. A block is the odd k of one task and the
+    even k after each, and it is yielded only once every gap and flag rule
+    has been checked against every k in it, so a scan that ends has re-proved
+    the characterization on its range, and one that breaks it raises
+    TheoremViolationError at the first k that does, with no row of its block.
     """
     if not 1 <= k_min <= k_max:
         raise ValueError("need 1 <= k_min <= k_max")
     if jobs < 1:
         raise ValueError("jobs must be positive")
     below = _cores_below(k_min, k_max)
-    tasks = _chunks(below) + _chunks(range(k_min | 1, k_max + 1, 2))
-    return _rows(k_min, k_max, below, chain.from_iterable(_in_order(tasks, jobs)))
+    before, odd = _chunks(below), _chunks(range(k_min | 1, k_max + 1, 2))
+    return _checked_blocks(k_min, k_max, below, len(before), _in_order(before + odd, jobs))
 
 
-def _rows(k_min: int, k_max: int, below: Sequence[int], results: Iterator) -> Iterator[tuple]:
-    """Rows from the results of below's cores and then of each odd k in range, in that order.
+def _checked_blocks(k_min: int, k_max: int, below: Sequence[int], before: int, results: Iterator) -> Iterator:
+    """Blocks from the results of below's first `before` tasks and then of each odd task, in that order.
 
     The results an even k may still need are kept in three columns, a few
-    bytes per core: below's cores first, then each odd k <= k_max // 2. An
-    even k finds its core in below by bisection, or past it by arithmetic.
-    Every k's gap is checked against _family_gaps both ways: a member must
-    have its gap there, and any other k a negative one.
+    bytes per core: below's cores first, then each odd k <= k_max // 2. The
+    even k of one 2-adic valuation s in a block are 2^s * c for a run of
+    consecutive odd c, whose results sit at consecutive places in the kept
+    columns, across the end of below too, so each s takes one slice. Every
+    k's gap is checked against _family_gaps both ways: a member must have its
+    gap there, and any other k a negative one. Each rule first reads the
+    whole block at C speed, with max() or compress(), so only the few k that
+    break it or get a flag cost a Python step.
     """
     import logging  # loaded by a scan, not by every start of the package
 
     log = logging.getLogger(__name__)
     fs, cases, zeros = _column(k_max // 2 + 4), bytearray(), _column(k_max + 1)
-    for least, case, zero in islice(results, len(below)):
-        fs.append(least)
-        cases.append(case)
-        zeros.append(zero)
-    base, half = k_min | 1, k_max // 2  # no even k in range has a larger core than half
-    names, gaps = _CASE_NAMES, _family_gaps(k_max)
-    for k in range(k_min, k_max + 1):
-        if k & 1:
-            least, case, zero = next(results)
-            if k <= half:
-                fs.append(least)
-                cases.append(case)
-                zeros.append(zero)
-        else:
-            core = k >> ((k & -k).bit_length() - 1)
-            at = len(below) + ((core - base) >> 1) if core >= base else bisect_left(below, core)
-            least, case, zero = fs[at], cases[at], zeros[at]
-        gap = least - k
-        flags = ()
-        if gap >= 0 or k in gaps:  # a negative gap off the table breaks no rule
-            if gaps.get(k) != gap:
-                should = gaps.get(k, "negative")
-                raise TheoremViolationError(f"characterization breached at k={k}: gap {gap}, not {should}")
-            flags = (f"GapEquals{gap}",)
-        if zero > k + 2:
-            flags += ("ZeroMinExceedsKplus2",)  # sorts after every gap flag
-        weight = least.bit_count()
-        if weight > 3:
+    for result in islice(results, before):
+        for column, values in zip((fs, cases, zeros), zip(*result)):
+            column.extend(values)
+    base, half, table = k_min | 1, k_max // 2, _family_gaps(k_max)
+    lo, end = k_min, base - 1
+    # a lone even k has no odd task, and makes one block with no odd results
+    for result in chain(results, [[]] if base > k_max else []):
+        end += 2 * _CORE_CHUNK
+        hi = min(k_max, end)
+        ks = range(lo, hi + 1)
+        columns = [0] * len(ks), [0] * len(ks), [0] * len(ks)
+        if result:  # the block's odd k, of which those up to half are kept
+            kept = len(range(lo | 1, min(hi, half) + 1, 2))
+            for column, own, values in zip(columns, (fs, cases, zeros), zip(*result)):
+                column[(lo & 1) ^ 1 :: 2] = values
+                own.extend(values[:kept])
+        for shift in range(1, hi.bit_length()):
+            # the least and greatest odd c with c * 2^shift in lo..hi
+            low, high = -(-lo >> shift) | 1, (hi >> shift) - 1 | 1
+            if low <= high:
+                at = bisect_left(below, low) if low < base else len(below) + ((low - base) >> 1)
+                count, step = ((high - low) >> 1) + 1, 2 << shift
+                start = (low << shift) - lo
+                for column, own in zip(columns, (fs, cases, zeros)):
+                    column[start : start + (count - 1) * step + 1 : step] = own[at : at + count]
+        leasts, kinds, zero_mins = columns
+        gaps = list(map(sub, leasts, ks))
+        weights = list(map(int.bit_count, leasts))
+        flags = [()] * len(ks)
+        reached = [k for k in table if lo <= k <= hi]
+        if reached or max(gaps) >= 0:  # a negative gap off the table breaks no rule
+            for k in sorted({*compress(ks, map(ge, gaps, repeat(0))), *reached}):
+                gap = gaps[k - lo]
+                if table.get(k) != gap:
+                    should = table.get(k, "negative")
+                    raise TheoremViolationError(f"characterization breached at k={k}: gap {gap}, not {should}")
+                flags[k - lo] = (f"GapEquals{gap}",)
+        if max(zero_mins) > lo + 2:
+            for k in compress(ks, map(gt, zero_mins, range(lo + 2, hi + 3))):
+                flags[k - lo] += ("ZeroMinExceedsKplus2",)  # sorts after every gap flag
+        for k in compress(ks, map(gt, weights, repeat(3))):
             # a sparse witness no larger than k+4 still exists; the minimum just is not it
-            log.info("least witness for k=%d is %d with weight %d", k, least, weight)
-        yield k, least, gap, names[case], least, weight, zero, flags
+            log.info("least witness for k=%d is %d with weight %d", k, leasts[k - lo], weights[k - lo])
+        yield ks, leasts, gaps, list(map(_CASE_NAMES.__getitem__, kinds)), leasts, weights, zero_mins, flags
+        lo = hi + 1
 
 
 def scan_theorem(k_min: int, k_max: int, jobs: int = 1) -> list[ScanRecord]:
@@ -372,26 +408,49 @@ def frequency(k: int, sample_count: int) -> FrequencyRecord:
     return FrequencyRecord(k, sample_count, Fraction(hits, sample_count))
 
 
-def _scan_line(row: tuple) -> str:
-    k, least, gap, case, hit, weight, zero, flags = row
-    return "%d,%d,%d,%s,%d,%d,%d,%s\n" % (k, least, gap, case, hit, weight, zero, "|".join(flags))
+_CSV_ROW = "%d,%d,%d,%s,%d,%d,%d,%s\n"
+
+
+def _csv_text(columns: Sequence) -> str:
+    """The CSV lines of one block of ScanRecord's columns, formatted by one % over its cells in row order."""
+    *head, flags = columns
+    width = len(columns)
+    cells = [None] * (width * len(flags))
+    for at, column in enumerate(head):
+        cells[at::width] = column  # a strided copy, cheaper than zipping the columns into rows
+    cells[width - 1 :: width] = map("|".join, flags)
+    cells = tuple(cells)  # frees the list before the text is made
+    return (_CSV_ROW * len(flags)) % cells
+
+
+def scan_csv(k_min: int, k_max: int, destination, jobs: int = 1) -> None:
+    """Write the rows of scan_rows(k_min, k_max, jobs) as emit_csv does, one block's text at a time."""
+    _write_csv(map(_csv_text, _blocks(k_min, k_max, jobs)), destination)
 
 
 def emit_csv(records: Iterable, destination) -> None:
     """Write records as CSV: UTF-8, LF line endings, stable columns, no trailing whitespace.
 
     records are ScanRecords or the rows of scan_rows, plain tuples of the same
-    fields, and are written as they are drawn, so a scan streams to the file;
-    an empty iterable gives the header alone. No cell ever needs quoting, as
-    each is an integer or an identifier, so lines are formatted directly.
-    destination may be an open text handle or a path. A path to a regular file, or to none yet, is
+    fields. They are drawn and written a block at a time, so a scan streams
+    to the file; an empty iterable gives the header alone. No cell ever needs
+    quoting, as each is an integer or an identifier, so lines are formatted
+    directly. destination may be an open text handle or a path. A path to a regular file, or to none yet, is
     written through a temporary file beside the file it resolves to, which
     replaces that file, with its mode, only once every record is written, so
     a run that raises leaves it as it was and a symlink to it stays a
     symlink. Any other path, such as a FIFO or /dev/stdout, is written
     through as it is. Equal inputs produce byte-identical files.
     """
-    lines = chain((",".join(THEOREM_HEADER) + "\n",), map(_scan_line, records))
+    rows = iter(records)
+    # columns of up to a scan block's number of rows each, until none are left
+    blocks = iter(lambda: tuple(zip(*islice(rows, 2 * _CORE_CHUNK))), ())
+    _write_csv(map(_csv_text, blocks), destination)
+
+
+def _write_csv(texts: Iterable[str], destination) -> None:
+    """The header and then texts, written to destination as emit_csv says."""
+    lines = chain((",".join(THEOREM_HEADER) + "\n",), texts)
     if hasattr(destination, "write"):
         destination.writelines(lines)
         return

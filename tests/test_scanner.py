@@ -6,11 +6,12 @@ import stat
 import threading
 from concurrent.futures import Future
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import xor
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tmwitness import oracle
 from tmwitness.digitcore import TheoremViolationError, shifted_difference_digit_sum, thue_morse
@@ -24,6 +25,7 @@ from tmwitness.scanner import (
     _first_block,
     emit_csv,
     frequency,
+    scan_csv,
     scan_theorem,
     scan_weight_family,
 )
@@ -117,6 +119,30 @@ def test_scan_matches_per_k_reference_for_every_jobs(monkeypatch, k_min, k_max):
         assert scan_theorem(k_min, k_max, jobs=jobs) == reference, jobs
 
 
+_cached_reference = cache(_reference_record)
+
+
+# A block is the odd k of one task and the even k after each, so these cover
+# the block edges: an even k_min (40), a lone even k, which has no odd task
+# (2, 6, 4096), an odd k_min above 1 (41, 333), and runs of even k whose odd
+# cores straddle the end of the cores below k_min (40..300: the cores of 78..84
+# are 39, below 40, and 41, the first odd k in range).
+@pytest.mark.parametrize("chunk", [1, 3, 37])
+@settings(max_examples=40, deadline=None)
+@given(k_min=st.integers(1, 600), width=st.integers(0, 80))
+@example(k_min=40, width=4)
+@example(k_min=2, width=0)
+@example(k_min=6, width=0)
+@example(k_min=4096, width=0)
+@example(k_min=41, width=60)
+@example(k_min=333, width=1)
+@example(k_min=40, width=260)
+def test_scan_blocks_match_the_per_k_reference(chunk, k_min, width):
+    k_max = k_min + width
+    with mock.patch("tmwitness.scanner._CORE_CHUNK", chunk):
+        assert scan_theorem(k_min, k_max, jobs=1) == [_cached_reference(k) for k in range(k_min, k_max + 1)]
+
+
 def test_pool_gets_no_more_workers_than_tasks(monkeypatch):
     made = []
 
@@ -192,6 +218,19 @@ def planted(k_planted, least):
 def test_scan_aborts_on_a_member_without_its_gap(monkeypatch, k, least):
     monkeypatch.setattr("tmwitness.scanner.oracle.f_and_zero_min", planted(k, least))
     with pytest.raises(TheoremViolationError, match=f"k={k}: gap {least - k}, not {_family_gaps(k)[k]}"):
+        scan_theorem(1, 64)
+
+
+@pytest.mark.parametrize("dropped, first", [(15, "k=15: gap 4, not negative"), (63, "k=33: gap -13, not 0")])
+def test_two_offenders_in_one_block_raise_at_the_smaller(monkeypatch, dropped, first):
+    # 1..64 is one block with two offenders: the member 33 without its gap, and
+    # a k whose true gap of 4 is off a table planted without it
+    monkeypatch.setattr("tmwitness.scanner.oracle.f_and_zero_min", planted(33, 20))
+    monkeypatch.setattr(
+        "tmwitness.scanner._family_gaps",
+        lambda k_max: {k: gap for k, gap in _family_gaps(k_max).items() if k != dropped},
+    )
+    with pytest.raises(TheoremViolationError, match=first):
         scan_theorem(1, 64)
 
 
@@ -273,6 +312,30 @@ def test_zero_min_overflow_sets_flag(monkeypatch):
     records = scan_theorem(1, 4)
     assert [record.zero_min for record in records] == [5, 5, 1, 5]
     assert ["ZeroMinExceedsKplus2" in record.flags for record in records] == [True, True, False, False]
+
+
+def test_planted_zero_min_flags_six_after_its_gap(monkeypatch):
+    # 6 takes zero_min 9 from its core 3, and 9 > 6 + 2; 12 takes it too, but 9 <= 14
+    walk = oracle.f_and_zero_min
+    monkeypatch.setattr("tmwitness.scanner.oracle.f_and_zero_min", lambda k: (walk(k)[0], 9) if k == 3 else walk(k))
+    records = scan_theorem(1, 12)
+    assert records[5].flags == ("GapEquals1", "ZeroMinExceedsKplus2")
+    assert records[11].flags == ()
+    for write in (lambda out: scan_csv(1, 12, out), lambda out: emit_csv(records, out)):
+        buffer = io.StringIO()
+        write(buffer)
+        assert buffer.getvalue().splitlines()[6] == "6,7,1,AllOnesEvenLen,7,3,9,GapEquals1|ZeroMinExceedsKplus2"
+
+
+@pytest.mark.parametrize("k_min, k_max", [(1, 300), (40, 44), (6, 6), (1000, 1100)])
+def test_scan_csv_equals_emit_csv_of_the_records(monkeypatch, k_min, k_max):
+    # small blocks, so both writers cut the rows at many block edges
+    monkeypatch.setattr("tmwitness.scanner._CORE_CHUNK", 7)
+    direct, drawn = io.StringIO(), io.StringIO()
+    scan_csv(k_min, k_max, direct)
+    emit_csv(scan_theorem(k_min, k_max), drawn)
+    assert direct.getvalue() == drawn.getvalue()
+    assert direct.getvalue().count("\n") == k_max - k_min + 2
 
 
 def test_scan_aborts_when_no_constructed_candidate_hits(monkeypatch):
