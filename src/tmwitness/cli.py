@@ -149,7 +149,13 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--from", dest="k_min", type=_positive, required=True)
     cmd.add_argument("--to", dest="k_max", type=_positive, required=True)
     cmd.add_argument("--csv", dest="csv_path", help="write CSV to this path instead of JSON lines")
-    cmd.add_argument("--jobs", type=_positive, default=_usable_cpus())
+    cmd.add_argument(
+        "--jobs",
+        type=_positive,
+        default=_usable_cpus(),
+        help="forked worker processes (default: the usable CPUs); without os.fork "
+        "the scan runs in this process and the flag has no effect",
+    )
 
     cmd = sub.add_parser("weights", help="sparse-multiplier sweep over k = 3*2^r + 3")
     cmd.add_argument("--r-from", dest="exponent_min", type=_integer, required=True)

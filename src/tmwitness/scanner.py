@@ -13,13 +13,12 @@ import os
 import shutil
 from array import array
 from bisect import bisect_left
-from collections import deque
 from contextlib import suppress
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress, islice, repeat, starmap
 from operator import ge, gt, sub, xor
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from . import oracle
 from .digitcore import TheoremViolationError, reduce_to_odd
@@ -108,19 +107,21 @@ def checked_least(k: int) -> tuple[int, WitnessCertificate]:
     return least, certificate
 
 
-def _core_results(cores: Sequence[int]) -> list[tuple[int, int, int]]:
-    """(f, case value, zero_min) of each odd core, with the oracle checked against the construction.
+def _core_results(cores: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """The columns (f, case value, zero_min) of the odd cores, with the oracle checked against the construction.
 
     A core is odd already, so it is verified without a certificate, and one
-    oracle walk gives both its f and its zero_min.
+    oracle walk over the whole task gives every core's f and zero_min.
     """
-    results = []
+    cases, hits = [], []
     for core in cores:
         case, _, _, _, hit = verify(core)
-        least, zero = oracle.f_and_zero_min(core)
+        cases.append(case._value_)  # .value is a Python-level property
+        hits.append(hit)
+    fs, zeros = oracle.f_and_zero_mins(cores)
+    for core, least, hit in zip(cores, fs, hits):
         _check_agreement(core, least, hit)
-        results.append((least, case._value_, zero))  # .value is a Python-level property
-    return results
+    return fs, cases, zeros
 
 
 def _column(limit: int):
@@ -149,32 +150,81 @@ def _chunks(cores: Sequence[int]) -> list[Sequence[int]]:
     return [cores[start : start + _CORE_CHUNK] for start in range(0, len(cores), _CORE_CHUNK)]
 
 
-def _in_order(tasks: list[Sequence[int]], jobs: int) -> Iterator[list[tuple[int, int, int]]]:
-    """The core results of each task, in task order, from at most jobs worker processes.
+def _in_order(tasks: list[Sequence[int]], jobs: int) -> Iterator[tuple[list[int], list[int], list[int]]]:
+    """The core results of each task, in task order, from at most jobs forked worker processes.
 
-    A pool starts all its workers at the first submit, so it gets no more
-    workers than there are tasks, and a lone task runs in this process. Only
-    about two tasks per worker are submitted ahead of the consumer, so the
-    results in flight stay bounded whatever the range and however far the
-    consumer lags.
+    Worker i runs tasks i, i + W, ... of W workers and pickles each result,
+    or the exception that stops it, to a pipe of its own. Reading task t from
+    pipe t mod W gives the results in task order, and a worker blocks once
+    its pipe's buffer is full, so how far it runs ahead is bounded whatever
+    the range and however far the consumer lags. A worker's exception is
+    raised here; a worker that ends without a result raises RuntimeError. A
+    lone task, or a platform without os.fork, runs in this process, with the
+    same results. However the scan stops, every worker is killed and reaped
+    and every pipe closed. A fork copies only the calling thread, and a
+    worker takes no lock that another thread could hold: it verifies, walks
+    the oracle and pickles, and logs nothing.
     """
     workers = min(jobs, len(tasks))
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         yield from map(_core_results, tasks)
         return
-    from concurrent.futures import ProcessPoolExecutor  # about 20 ms that only a pooled scan pays
+    import pickle  # loaded by a scan with workers, not by every start of the package
+    import signal
 
-    pool = ProcessPoolExecutor(max_workers=workers)
+    readers, pids = [], []
     try:
-        pending: deque = deque()
-        for task in tasks:
-            pending.append(pool.submit(_core_results, task))
-            if len(pending) > 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+        for worker in range(workers):
+            read, write = os.pipe()
+            readers.append(open(read, "rb"))
+            with open(write, "wb") as out:  # the parent's copy closes once the worker has its own
+                pid = os.fork()
+                if pid:
+                    pids.append(pid)
+                else:
+                    _work(tasks[worker::workers], readers, out)
+        for task in range(len(tasks)):
+            worker = task % workers
+            try:
+                result = pickle.load(readers[worker])
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"scan worker {pids[worker]} ended without the result of task {task}") from None
+            if isinstance(result, BaseException):
+                raise result
+            yield result
     finally:
-        pool.shutdown(cancel_futures=True)
+        try:
+            for pid in pids:  # gone already, or reaped by a host that ignores SIGCHLD
+                with suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+        finally:
+            for reader in readers:
+                reader.close()
+
+
+def _work(tasks: list[Sequence[int]], readers: list, out) -> NoReturn:
+    """A forked worker: the results of tasks, or the exception that stops them, pickled to out; then exit.
+
+    It closes the read ends it inherited, so a pipe's only reader is the
+    parent, and it leaves by os._exit, so nothing of the parent's, such as
+    its buffered output or its exit handlers, runs twice.
+    """
+    import pickle
+
+    try:
+        for reader in readers:
+            reader.close()
+        for task in tasks:
+            pickle.dump(_core_results(task), out)
+            out.flush()
+    except BaseException as error:  # the parent raises it at this worker's next task
+        with suppress(BaseException):
+            pickle.dump(error, out)
+            out.flush()
+    finally:
+        os._exit(0)
 
 
 def scan_rows(k_min: int, k_max: int, jobs: int = 1) -> Iterator[tuple]:
@@ -227,7 +277,7 @@ def _checked_blocks(k_min: int, k_max: int, below: Sequence[int], before: int, r
     log = logging.getLogger(__name__)
     fs, cases, zeros = _column(k_max // 2 + 4), bytearray(), _column(k_max + 1)
     for result in islice(results, before):
-        for column, values in zip((fs, cases, zeros), zip(*result)):
+        for column, values in zip((fs, cases, zeros), result):
             column.extend(values)
     base, half, table = k_min | 1, k_max // 2, _family_gaps(k_max)
     lo, end = k_min, base - 1
@@ -239,7 +289,7 @@ def _checked_blocks(k_min: int, k_max: int, below: Sequence[int], before: int, r
         columns = [0] * len(ks), [0] * len(ks), [0] * len(ks)
         if result:  # the block's odd k, of which those up to half are kept
             kept = len(range(lo | 1, min(hi, half) + 1, 2))
-            for column, own, values in zip(columns, (fs, cases, zeros), zip(*result)):
+            for column, own, values in zip(columns, (fs, cases, zeros), result):
                 column[(lo & 1) ^ 1 :: 2] = values
                 own.extend(values[:kept])
         for shift in range(1, hi.bit_length()):

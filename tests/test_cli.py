@@ -149,11 +149,11 @@ def test_scan_jsonl_exact_bytes(capsys):
     )
 
 
-def test_scan_jobs_deterministic(capsys, real_pools):
+def test_scan_jobs_deterministic(capsys, small_tasks):
     one = invoke(capsys, "scan", "--from", "1", "--to", "60", "--jobs", "1")[1]
     four = invoke(capsys, "scan", "--from", "1", "--to", "60", "--jobs", "4")[1]
     assert one == four
-    assert real_pools == [4]
+    assert small_tasks.taken() == 4
 
 
 def test_scan_jobs_default_follows_cpu_affinity(monkeypatch):
@@ -199,6 +199,25 @@ def test_scan_violation_leaves_csv_untouched(capsys, monkeypatch, tmp_path):
     assert "planted at k=51" in err
     assert target.read_bytes() == b"earlier contents\n"
     assert [path.name for path in tmp_path.iterdir()] == ["scan.csv"]
+
+
+def test_scan_violation_in_a_worker_exits_3(capsys, monkeypatch, tmp_path, forks):
+    parent, real_verify = os.getpid(), scanner.verify
+
+    def verify_failing_at_51_in_a_worker(k_odd):
+        if k_odd == 51 and os.getpid() != parent:
+            raise TheoremViolationError("planted at k=51")
+        return real_verify(k_odd)
+
+    monkeypatch.setattr(scanner, "verify", verify_failing_at_51_in_a_worker)
+    monkeypatch.setattr(scanner, "_CORE_CHUNK", 8)
+    target = tmp_path / "scan.csv"
+    for argv in (["--csv", str(target)], []):
+        code, out, err = invoke(capsys, "scan", "--from", "1", "--to", "200", "--jobs", "2", *argv)
+        assert (code, err) == (3, "theorem violation: planted at k=51\n")
+        assert '"k":51,' not in out
+        assert forks.taken() == 2
+    assert not target.exists()
 
 
 def test_scan_csv_unwritable_path_is_io_error(capsys, tmp_path):
@@ -312,22 +331,17 @@ def test_f_both_violation_exit_code(capsys, monkeypatch):
     assert "oracle and construction disagree at k=1" in err
 
 
-def test_scan_violation_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(
-        "tmwitness.scanner.oracle.f_and_zero_min", lambda k: (k + 2, scanner.oracle.zero_min(k))
-    )
+def test_scan_violation_exit_code(capsys, plant):
+    plant(fs={3: 5})  # k + 2
     code, _, err = invoke(capsys, "scan", "--from", "3", "--to", "3", "--jobs", "1")
     assert code == 3
     assert "theorem violation" in err
 
 
 @pytest.mark.parametrize("k, least", [(17, 15), (63, 5)])
-def test_scan_member_without_its_gap_exit_code(capsys, monkeypatch, k, least):
+def test_scan_member_without_its_gap_exit_code(capsys, plant, k, least):
     # each planted minimum is at most k's constructed hit, so only the gap table catches it
-    walk = scanner.oracle.f_and_zero_min
-    monkeypatch.setattr(
-        "tmwitness.scanner.oracle.f_and_zero_min", lambda n: (least, walk(n)[1]) if n == k else walk(n)
-    )
+    plant(fs={k: least})
     code, out, err = invoke(capsys, "scan", "--from", "1", "--to", "64", "--jobs", "1")
     assert code == 3
     assert f"characterization breached at k={k}" in err
@@ -444,7 +458,7 @@ def modules_loaded_by(code: str) -> set[str]:
     return set(done.stdout.splitlines()[-1].split())
 
 
-def test_imports_stay_lazy():
+def test_imports_stay_lazy(tmp_path):
     # a library import loads neither the CLI's parsers nor the pool nor logging
     loaded = modules_loaded_by("import tmwitness")
     assert "tmwitness.scanner" in loaded
@@ -455,8 +469,10 @@ def test_imports_stay_lazy():
         "from tmwitness import *\nassert main is tmwitness.cli.main"
     )
     assert "argparse" in loaded
-    # short commands load the CLI but not the pool or dataclasses
-    for argv in (["tm", "5"], ["witness", "51"], ["freq", "--k", "3", "--samples", "1000"]):
+    # short commands load the CLI but not the pool or dataclasses, and a scan
+    # with workers forks them, so it loads no pool either: 1..5000 is three tasks
+    scan = ["scan", "--from", "1", "--to", "5000", "--jobs", "2", "--csv", str(tmp_path / "scan.csv")]
+    for argv in (["tm", "5"], ["witness", "51"], ["freq", "--k", "3", "--samples", "1000"], scan):
         loaded = modules_loaded_by(f"from tmwitness.cli import run\nassert run({argv!r}) == 0")
         assert not loaded & {"concurrent.futures", "multiprocessing", "dataclasses"}, argv
 

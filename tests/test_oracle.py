@@ -10,7 +10,7 @@ from tmwitness import oracle
 from tmwitness.digitcore import TheoremViolationError, thue_morse
 from tmwitness.genbase import GenBaseQuery
 from tmwitness.oracle import (
-    f_and_zero_min,
+    f_and_zero_mins,
     f_exact,
     g_min,
     min_weight_witness,
@@ -87,30 +87,97 @@ def test_zero_min_past_ceiling_raises(monkeypatch):
         zero_min(1)
 
 
-def test_pair_walk_matches_both_walks_below_2_to_16():
-    # even k included: the pair walks k itself, as f_exact and zero_min do
-    for k in range(1, 1 << 16):
-        assert f_and_zero_min(k) == (f_exact(k), zero_min(k))
-
-
-def test_pair_walk_matches_both_walks_on_long_walks():
-    # f(2^r + 1) = 2^r + 1 and f(4^r - 1) = 4^r + 3: the walks run to about k
-    for r in range(1, 13):
-        for k in ((1 << r) + 1, (1 << 2 * r) - 1):
-            assert f_and_zero_min(k) == (f_exact(k), zero_min(k))
-
-
-def _first(k, parity, cap=1 << 16):
-    # the least n <= cap with s2(k*n) of the given parity, or None
+def _every_n(k, parity, cap):
+    """The least n <= cap, even n included, with s2(k*n) of the given parity, or None."""
     return next((n for n in range(1, cap + 1) if (k * n).bit_count() & 1 == parity), None)
 
 
-@given(st.integers(min_value=1, max_value=(1 << 64) - 1))
-def test_pair_walk_matches_both_walks_below_2_to_64(k):
-    # words such as 2^64 - 1 need walks of about k steps, so they are left out
-    f, zero = _first(k, 1), _first(k, 0)
-    assume(f is not None and zero is not None)
-    assert f_and_zero_min(k) == (f_exact(k), zero_min(k)) == (f, zero)
+def test_walks_match_an_every_n_walk_below_2_to_12():
+    # the walks skip even n; this reference tries every n up to the ceilings
+    for k in range(1, 1 << 12):
+        assert f_exact(k) == _every_n(k, 1, k + 4)
+        assert zero_min(k) == _every_n(k, 0, 2 * k + 1)
+
+
+def _batch_matches_per_k(ks):
+    assert f_and_zero_mins(ks) == ([f_exact(k) for k in ks], [zero_min(k) for k in ks])
+
+
+def test_pair_walk_matches_both_walks_below_2_to_16():
+    # the scan's batches, 1024 consecutive odd k, and the even k in batches
+    # alike, whose answers are those of their odd cores
+    for start in range(1, 1 << 16, 2048):
+        _batch_matches_per_k(range(start, start + 2048, 2))
+        _batch_matches_per_k(range(start + 1, min(start + 2049, 1 << 16), 2))
+
+
+def test_pair_walk_matches_both_walks_on_long_walks():
+    # f(2^r + 1) = 2^r + 1, f(4^r - 1) = 4^r + 3 and zero_min(2^r - 1) = 2^r + 1
+    # for odd r: the last k open in a batch, so each ends in the per-k walk
+    family = sorted({(1 << r) + 1 for r in range(1, 21)} | {(1 << r) - 1 for r in range(1, 21)})
+    assert (1 << 20) - 1 in family  # 4^10 - 1, the largest 4^r - 1 here; 4^11 - 1 and 4^12 - 1 are below
+    for k in family:
+        _batch_matches_per_k(range(max(1, k - 2046), k + 1, 2))
+        _batch_matches_per_k([k])
+    _batch_matches_per_k(family)
+
+
+@pytest.mark.parametrize("r", [11, 12])
+@pytest.mark.parametrize("alone", [True, False])
+def test_pair_walk_reaches_the_ceiling_of_4_to_the_r_minus_1(r, alone):
+    # f(4^r - 1) = 4^r + 3, the ceiling k + 4 itself, and 4^r - 1 has even
+    # weight: the longest walks, alone and as the last k open in a 1024-k
+    # batch, stated rather than walked a second time by f_exact
+    k = (1 << 2 * r) - 1
+    batch = [k] if alone else range(k - 2046, k + 1, 2)
+    fs, zeros = f_and_zero_mins(batch)
+    assert (fs[-1], zeros[-1]) == (k + 4, 1)
+    assert (fs[:-1], zeros[:-1]) == ([f_exact(j) for j in batch[:-1]], [zero_min(j) for j in batch[:-1]])
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_batch_with_the_few_open_left_and_one_more(monkeypatch, parity, extra):
+    # k of even weight leave their f open after n = 1, and k of odd weight their
+    # zero_min: _FEW_OPEN of them go straight to the per-k walk, one more takes a pass
+    ks = [k for k in range(3, 400, 2) if k.bit_count() & 1 != parity][: oracle._FEW_OPEN + extra]
+    walked = []
+    walk = oracle._walk
+
+    def counted(k, wanted, limit, start=1):
+        walked.append(start)
+        return walk(k, wanted, limit, start)
+
+    monkeypatch.setattr(oracle, "_walk", counted)
+    fs, zeros = f_and_zero_mins(ks)
+    monkeypatch.setattr(oracle, "_walk", walk)
+    assert (fs, zeros) == ([f_exact(k) for k in ks], [zero_min(k) for k in ks])
+    if extra:
+        assert len(walked) < len(ks) and all(start > 3 for start in walked)  # a pass ran first
+    else:
+        assert walked == [3] * len(ks)
+
+
+# batches in any order that repeat some k and hold even k, whose answers are their halves'
+_batches = st.lists(st.integers(min_value=1, max_value=(1 << 64) - 1), max_size=40).flatmap(
+    lambda ks: st.permutations(ks + ks[: len(ks) // 2] + [2 * k for k in ks[:5]])
+)
+
+
+@given(_batches)
+def test_pair_walk_matches_both_walks_below_2_to_64(ks):
+    # words whose walks run to about k are left out, as _every_n caps them
+    answers = [(_every_n(k, 1, 1 << 16), _every_n(k, 0, 1 << 16)) for k in ks]
+    assume(None not in {n for pair in answers for n in pair})
+    fs, zeros = f_and_zero_mins(ks)
+    assert list(zip(fs, zeros)) == answers
+    assert (fs, zeros) == ([f_exact(k) for k in ks], [zero_min(k) for k in ks])
+
+
+def test_batch_rejects_a_k_below_one():
+    assert f_and_zero_mins([]) == ([], [])
+    with pytest.raises(ValueError):
+        f_and_zero_mins([3, 0])
 
 
 @pytest.mark.parametrize(
@@ -121,7 +188,7 @@ def test_pair_walk_past_ceiling_raises(monkeypatch, ceiling, k, message):
     # zero_min(1) is 3 and f(3) is 7, so a ceiling of 2 is exhausted in either arm
     monkeypatch.setattr(f"tmwitness.oracle.{ceiling}", lambda k: 2)
     with pytest.raises(TheoremViolationError, match=message):
-        f_and_zero_min(k)
+        f_and_zero_mins([k])
 
 
 def test_min_weight_witness_frozen():

@@ -1,10 +1,13 @@
 """Range scanning, flag enforcement, sparse-family sweeps, frequencies, CSV output."""
 
+import gc
 import io
 import os
 import stat
+import signal
 import threading
-from concurrent.futures import Future
+import time
+import warnings
 from fractions import Fraction
 from functools import cache, reduce
 from operator import xor
@@ -21,6 +24,7 @@ from tmwitness.scanner import (
     ScanRecord,
     WeightFamilyRecord,
     _add_to_lanes,
+    _blocks,
     _family_gaps,
     _first_block,
     emit_csv,
@@ -29,7 +33,7 @@ from tmwitness.scanner import (
     scan_theorem,
     scan_weight_family,
 )
-from tmwitness.witness import certify
+from tmwitness.witness import certify, verify
 
 F_TABLE = [1, 1, 7, 1, 5, 7, 1, 1, 9, 5, 1, 7, 1, 1, 19, 1, 17, 9, 1, 5]
 
@@ -81,15 +85,17 @@ def test_scan_range_validation():
         scan_theorem(1, 5, jobs=0)
 
 
-def test_parallel_scan_equals_sequential(real_pools):
+def test_parallel_scan_equals_sequential(small_tasks):
     sequential = scan_theorem(1, 300)
-    assert real_pools == []
+    assert small_tasks.taken() == 0
     assert scan_theorem(1, 300, jobs=4) == sequential
+    assert small_tasks.taken() == 4
     assert scan_theorem(1, 300, jobs=3) == sequential
+    assert small_tasks.taken() == 3
     # more jobs than tasks: 40..44 is two tasks (cores 5, 11, 21 below it,
     # then 41, 43), so it gets two workers
     assert scan_theorem(40, 44, jobs=4) == scan_theorem(40, 44)
-    assert real_pools == [4, 3, 2]
+    assert small_tasks.taken() == 2
 
 
 def _reference_record(k):
@@ -143,58 +149,108 @@ def test_scan_blocks_match_the_per_k_reference(chunk, k_min, width):
         assert scan_theorem(k_min, k_max, jobs=1) == [_cached_reference(k) for k in range(k_min, k_max + 1)]
 
 
-def test_pool_gets_no_more_workers_than_tasks(monkeypatch):
-    made = []
-
-    class InlinePool:
-        """Records max_workers and runs each task at submit, so no process starts."""
-
-        def __init__(self, max_workers):
-            made.append(max_workers)
-
-        def submit(self, function, *args):
-            future = Future()
-            future.set_result(function(*args))
-            return future
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+def test_pool_gets_no_more_workers_than_tasks(monkeypatch, forks):
     # cores 5, 11 and 21 below 40..44 are one task, and 41 and 43 another
     assert scan_theorem(40, 44, jobs=16) == scan_theorem(40, 44)
-    assert made == [2]
-    # the 150 odd cores of 1..300 are one task, which needs no pool
+    assert forks.taken() == 2
+    # the 150 odd cores of 1..300 are one task, which runs in this process
     assert scan_theorem(1, 300, jobs=16) == scan_theorem(1, 300)
-    assert made == [2]
+    assert forks.taken() == 0
     monkeypatch.setattr("tmwitness.scanner._CORE_CHUNK", 37)
     assert scan_theorem(1, 1000, jobs=3) == scan_theorem(1, 1000)
-    assert made == [2, 3]
+    assert forks.taken() == 3
 
 
-def test_parallel_scan_csv_byte_identical(tmp_path, real_pools):
+def test_scan_without_fork_runs_in_this_process(monkeypatch):
+    sequential = scan_theorem(1, 300)
+    monkeypatch.setattr("tmwitness.scanner._CORE_CHUNK", 8)
+    monkeypatch.delattr(os, "fork")
+    assert scan_theorem(1, 300, jobs=4) == sequential
+
+
+def _open_descriptors():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors through /proc")
+def test_closed_scan_leaves_no_worker_and_no_pipe(small_tasks):
+    before = _open_descriptors()
+    blocks = _blocks(1, 300, 2)
+    next(blocks)
+    assert len(small_tasks.pids) == 2
+    assert len(_open_descriptors()) == len(before) + 2  # one pipe a worker
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        blocks.close()
+        gc.collect()
+    assert _open_descriptors() == before
+    assert not [warning for warning in caught if issubclass(warning.category, ResourceWarning)]
+    for pid in small_tasks.pids:
+        with pytest.raises(ChildProcessError):  # killed and reaped already
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_worker_that_dies_fails_the_scan(monkeypatch, small_tasks):
+    parent = os.getpid()
+
+    def dying_verify(k_odd):
+        if k_odd == 51 and os.getpid() != parent:
+            os._exit(1)  # a worker killed in its task, without a word to the parent
+        return verify(k_odd)
+
+    monkeypatch.setattr("tmwitness.scanner.verify", dying_verify)
+
+    def hung(signum, frame):
+        raise TimeoutError("the scan waited on a dead worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    started = time.monotonic()
+    try:
+        with pytest.raises(RuntimeError, match="ended without the result of task 3"):
+            scan_theorem(1, 300, jobs=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - started < 10
+    assert small_tasks.taken() == 2
+
+
+def test_parallel_scan_csv_byte_identical(tmp_path, small_tasks):
     a = tmp_path / "seq.csv"
     b = tmp_path / "par.csv"
     emit_csv(scan_theorem(1, 120), a)
     emit_csv(scan_theorem(1, 120, jobs=3), b)
     assert a.read_bytes() == b.read_bytes()
-    assert real_pools == [3]
+    assert small_tasks.taken() == 3
 
 
-def test_scan_aborts_on_forbidden_gap(monkeypatch):
-    monkeypatch.setattr(
-        "tmwitness.scanner.oracle.f_and_zero_min", lambda k: (k + 2, oracle.zero_min(k))
-    )
+def test_scan_aborts_on_forbidden_gap(plant):
+    plant(fs={3: 5})  # k + 2
     with pytest.raises(TheoremViolationError, match="k=3"):
         scan_theorem(3, 3)
 
 
-def test_scan_aborts_when_oracle_beats_certificate(monkeypatch):
-    monkeypatch.setattr(
-        "tmwitness.scanner.oracle.f_and_zero_min", lambda k: (k + 3, oracle.zero_min(k))
-    )
+def test_scan_aborts_when_oracle_beats_certificate(plant):
+    plant(fs={1: 4})  # k + 3
     with pytest.raises(TheoremViolationError, match="disagree"):
         scan_theorem(1, 1)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("above", [0, 1])
+def test_agreement_holds_the_oracle_to_the_hit_exactly(monkeypatch, plant, jobs, above):
+    # 53's constructed hit is 33 and its true f is 5; among the eight-core tasks
+    # of 1..300, 53 is in the fourth, so with two jobs a worker checks it
+    k, hit = 53, verify(53)[4]
+    assert (oracle.f_exact(k), hit) == (5, 33)
+    monkeypatch.setattr("tmwitness.scanner._CORE_CHUNK", 8)
+    plant(fs={k: hit + above})
+    if above:
+        with pytest.raises(TheoremViolationError, match=f"disagree at k={k}: {hit + 1} vs {hit}"):
+            scan_theorem(1, 300, jobs=jobs)
+    else:
+        assert scan_theorem(1, 300, jobs=jobs)[k - 1].f == hit
 
 
 def test_scan_aborts_on_a_gap_off_the_table(monkeypatch):
@@ -206,26 +262,20 @@ def test_scan_aborts_on_a_gap_off_the_table(monkeypatch):
         scan_theorem(15, 15)
 
 
-def planted(k_planted, least):
-    """An f_and_zero_min that answers least for k_planted and the true walk elsewhere."""
-    walk = oracle.f_and_zero_min
-    return lambda k: (least, walk(k)[1]) if k == k_planted else walk(k)
-
-
 # both planted minima are at most the construction's hit (17 and 67), so only
 # the table can catch them: a member whose gap is negative
 @pytest.mark.parametrize("k, least", [(17, 15), (63, 5)])
-def test_scan_aborts_on_a_member_without_its_gap(monkeypatch, k, least):
-    monkeypatch.setattr("tmwitness.scanner.oracle.f_and_zero_min", planted(k, least))
+def test_scan_aborts_on_a_member_without_its_gap(plant, k, least):
+    plant(fs={k: least})
     with pytest.raises(TheoremViolationError, match=f"k={k}: gap {least - k}, not {_family_gaps(k)[k]}"):
         scan_theorem(1, 64)
 
 
 @pytest.mark.parametrize("dropped, first", [(15, "k=15: gap 4, not negative"), (63, "k=33: gap -13, not 0")])
-def test_two_offenders_in_one_block_raise_at_the_smaller(monkeypatch, dropped, first):
+def test_two_offenders_in_one_block_raise_at_the_smaller(monkeypatch, plant, dropped, first):
     # 1..64 is one block with two offenders: the member 33 without its gap, and
     # a k whose true gap of 4 is off a table planted without it
-    monkeypatch.setattr("tmwitness.scanner.oracle.f_and_zero_min", planted(33, 20))
+    plant(fs={33: 20})
     monkeypatch.setattr(
         "tmwitness.scanner._family_gaps",
         lambda k_max: {k: gap for k, gap in _family_gaps(k_max).items() if k != dropped},
@@ -296,28 +346,25 @@ def test_scan_logs_exactly_the_heavy_least_witnesses(caplog):
     assert logged == [k for k in range(1, 4097) if oracle.f_exact(k).bit_count() > 3]
 
 
-def test_zero_min_overflow_sets_flag(monkeypatch):
+def test_zero_min_overflow_sets_flag(plant):
     # k = 4 takes zero_min from its odd core 1, and only from it
-    monkeypatch.setattr(
-        "tmwitness.scanner.oracle.f_and_zero_min", lambda k: (oracle.f_exact(k), {1: 7}[k])
-    )
+    asked = plant(zeros={1: 7})
     (record,) = scan_theorem(4, 4)
+    assert asked == [1]
     assert record.zero_min == 7
     assert "ZeroMinExceedsKplus2" in record.flags
 
     # the flag compares a core's zero_min with each k, not with the core
-    monkeypatch.setattr(
-        "tmwitness.scanner.oracle.f_and_zero_min", lambda k: (oracle.f_exact(k), {1: 5, 3: 1}[k])
-    )
+    asked = plant(zeros={1: 5, 3: 1})
     records = scan_theorem(1, 4)
+    assert asked == [1, 3]
     assert [record.zero_min for record in records] == [5, 5, 1, 5]
     assert ["ZeroMinExceedsKplus2" in record.flags for record in records] == [True, True, False, False]
 
 
-def test_planted_zero_min_flags_six_after_its_gap(monkeypatch):
+def test_planted_zero_min_flags_six_after_its_gap(plant):
     # 6 takes zero_min 9 from its core 3, and 9 > 6 + 2; 12 takes it too, but 9 <= 14
-    walk = oracle.f_and_zero_min
-    monkeypatch.setattr("tmwitness.scanner.oracle.f_and_zero_min", lambda k: (walk(k)[0], 9) if k == 3 else walk(k))
+    plant(zeros={3: 9})
     records = scan_theorem(1, 12)
     assert records[5].flags == ("GapEquals1", "ZeroMinExceedsKplus2")
     assert records[11].flags == ()
