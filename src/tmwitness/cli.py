@@ -42,6 +42,11 @@ def _object(pairs) -> str:
     ]) + "}"
 
 
+# a scan row's JSON line, keyed by THEOREM_HEADER: the case quoted, every other cell filled as _object writes it
+_SCAN_LINE = "{%s}\n" % ",".join(
+    f'"{name}":"%s"' if name == "case" else f'"{name}":%s' for name in scanner.THEOREM_HEADER)
+
+
 def serialize_certificate(certificate: witness.WitnessCertificate) -> str:
     """Compact JSON for any WitnessCertificate, consistent or not, in fixed field order.
 
@@ -249,8 +254,11 @@ def _dispatch(args) -> int:
         if args.csv_path:
             scanner.scan_csv(args.k_min, args.k_max, args.csv_path, jobs=args.jobs)
         else:
-            for row in scanner.scan_rows(args.k_min, args.k_max, jobs=args.jobs):
-                print(_object(zip(scanner.THEOREM_HEADER, row)))
+            for block in scanner._blocks(args.k_min, args.k_max, args.jobs):
+                if 2 * block[0][-1] + 1 > _JSON_SAFE_MAX:  # no value of a row passes zero_min <= 2k + 1
+                    block = [list(map(_int_text, cells)) if type(cells[0]) is int else cells for cells in block]
+                # most rows have no flags, and a _dump call takes about 1 us
+                sys.stdout.write(scanner._block_text(block, _SCAN_LINE, lambda f: _dump(f) if f else "[]"))
     elif args.command == "weights":
         for record in scanner.scan_weight_family(args.exponent_min, args.exponent_max, args.bit_limit):
             _emit({"r": record.exponent, "k": record.k, "counterexample": record.counterexample})

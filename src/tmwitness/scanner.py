@@ -227,16 +227,6 @@ def _work(tasks: list[Sequence[int]], readers: list, out) -> NoReturn:
         os._exit(0)
 
 
-def scan_rows(k_min: int, k_max: int, jobs: int = 1) -> Iterator[tuple]:
-    """One verified row per k in ascending order, yielded a block at a time once the whole block is checked.
-
-    A row is a plain tuple of ScanRecord's fields, cheaper to build than a
-    ScanRecord; its flags are empty when there are none. The rows are the
-    columns of _blocks, zipped.
-    """
-    return chain.from_iterable(starmap(zip, _blocks(k_min, k_max, jobs)))
-
-
 def _blocks(k_min: int, k_max: int, jobs: int) -> Iterator[tuple]:
     """The verified rows of k_min..k_max as blocks of ScanRecord's eight columns, in ascending k.
 
@@ -324,8 +314,8 @@ def _checked_blocks(k_min: int, k_max: int, below: Sequence[int], before: int, r
 
 
 def scan_theorem(k_min: int, k_max: int, jobs: int = 1) -> list[ScanRecord]:
-    """The rows of scan_rows as ScanRecords, in a list."""
-    return list(map(ScanRecord._make, scan_rows(k_min, k_max, jobs)))
+    """The verified rows of k_min..k_max as ScanRecords, in ascending k: the columns of _blocks, zipped."""
+    return list(map(ScanRecord._make, chain.from_iterable(starmap(zip, _blocks(k_min, k_max, jobs)))))
 
 
 def scan_weight_family(exponent_min: int, exponent_max: int, bit_limit: int) -> list[WeightFamilyRecord]:
@@ -461,41 +451,41 @@ def frequency(k: int, sample_count: int) -> FrequencyRecord:
 _CSV_ROW = "%d,%d,%d,%s,%d,%d,%d,%s\n"
 
 
-def _csv_text(columns: Sequence) -> str:
-    """The CSV lines of one block of ScanRecord's columns, formatted by one % over its cells in row order."""
+def _block_text(columns: Sequence, row: str = _CSV_ROW, flags_text="|".join) -> str:
+    """A block of ScanRecord's columns as text: one % of the line template row over its cells in row order."""
     *head, flags = columns
     width = len(columns)
     cells = [None] * (width * len(flags))
     for at, column in enumerate(head):
         cells[at::width] = column  # a strided copy, cheaper than zipping the columns into rows
-    cells[width - 1 :: width] = map("|".join, flags)
+    cells[width - 1 :: width] = map(flags_text, flags)
     cells = tuple(cells)  # frees the list before the text is made
-    return (_CSV_ROW * len(flags)) % cells
+    return (row * len(flags)) % cells
 
 
 def scan_csv(k_min: int, k_max: int, destination, jobs: int = 1) -> None:
-    """Write the rows of scan_rows(k_min, k_max, jobs) as emit_csv does, one block's text at a time."""
-    _write_csv(map(_csv_text, _blocks(k_min, k_max, jobs)), destination)
+    """Write the verified rows of k_min..k_max as emit_csv does, one block's text at a time."""
+    _write_csv(map(_block_text, _blocks(k_min, k_max, jobs)), destination)
 
 
 def emit_csv(records: Iterable, destination) -> None:
     """Write records as CSV: UTF-8, LF line endings, stable columns, no trailing whitespace.
 
-    records are ScanRecords or the rows of scan_rows, plain tuples of the same
-    fields. They are drawn and written a block at a time, so a scan streams
-    to the file; an empty iterable gives the header alone. No cell ever needs
-    quoting, as each is an integer or an identifier, so lines are formatted
-    directly. destination may be an open text handle or a path. A path to a regular file, or to none yet, is
-    written through a temporary file beside the file it resolves to, which
-    replaces that file, with its mode, only once every record is written, so
-    a run that raises leaves it as it was and a symlink to it stays a
-    symlink. Any other path, such as a FIFO or /dev/stdout, is written
-    through as it is. Equal inputs produce byte-identical files.
+    records are ScanRecords, or plain tuples of the same fields. They are drawn
+    and written a block at a time, so a scan streams to the file; an empty
+    iterable gives the header alone. No cell ever needs quoting, as each is an
+    integer or an identifier, so lines are formatted directly. destination may
+    be an open text handle or a path. A path to a regular file, or to none yet,
+    is written through a temporary file beside the file it resolves to, which
+    replaces that file, with its mode, only once every record is written, so a
+    run that raises leaves it as it was and a symlink to it stays a symlink.
+    Any other path, such as a FIFO or /dev/stdout, is written through as it is.
+    Equal inputs produce byte-identical files.
     """
     rows = iter(records)
     # columns of up to a scan block's number of rows each, until none are left
     blocks = iter(lambda: tuple(zip(*islice(rows, 2 * _CORE_CHUNK))), ())
-    _write_csv(map(_csv_text, blocks), destination)
+    _write_csv(map(_block_text, blocks), destination)
 
 
 def _write_csv(texts: Iterable[str], destination) -> None:

@@ -149,6 +149,54 @@ def test_scan_jsonl_exact_bytes(capsys):
     )
 
 
+def _per_row_jsonl(k_min, k_max):
+    """The reference for the scan's JSON lines: each record of scan_theorem by _object, a line each."""
+    records = scanner.scan_theorem(k_min, k_max)
+    return "".join(cli._object(zip(scanner.THEOREM_HEADER, record)) + "\n" for record in records)
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_scan_jsonl_blocks_equal_the_per_row_encoder_across_workers(capsys, small_tasks, jobs):
+    # eight odd cores a task: 256 tasks, on forked workers for jobs > 1
+    code, out, err = invoke(capsys, "scan", "--from", "1", "--to", "4096", "--jobs", str(jobs))
+    assert (code, err) == (0, "")
+    assert small_tasks.taken() == (jobs if jobs > 1 else 0)
+    assert out == _per_row_jsonl(1, 4096)
+
+
+@pytest.mark.parametrize(
+    "k_min, k_max",
+    [(1000, 1100), (4, 4), (6, 6), (2**53 + 3, 2**53 + 3)],
+    ids=["cores-below-from", "lone-even", "gap-1", "2^53+3"],
+)
+def test_scan_jsonl_blocks_equal_the_per_row_encoder(capsys, k_min, k_max):
+    code, out, err = invoke(capsys, "scan", "--from", str(k_min), "--to", str(k_max), "--jobs", "1")
+    assert (code, err) == (0, "")
+    assert out == _per_row_jsonl(k_min, k_max)
+
+
+def test_scan_jsonl_quotes_ints_past_2_to_53_only(capsys):
+    # k = 2^53 is one past the bound, and its gap 1 - 2^53 is on it
+    assert invoke(capsys, "scan", "--from", str(2**53), "--to", str(2**53), "--jobs", "1") == (
+        0,
+        '{"k":"9007199254740992","f":1,"gap":-9007199254740991,"case":"AllOnesOddLen","witness":1,'
+        '"witness_weight":1,"zero_min":3,"flags":[]}\n',
+        "",
+    )
+
+
+def test_scan_jsonl_two_flags_on_one_row(capsys, plant):
+    # 6 takes zero_min 9 from its core 3, past 6 + 2, beside its gap flag
+    plant(zeros={3: 9})
+    code, out, err = invoke(capsys, "scan", "--from", "1", "--to", "12", "--jobs", "1")
+    assert (code, err) == (0, "")
+    assert out == _per_row_jsonl(1, 12)
+    assert out.splitlines()[5] == (
+        '{"k":6,"f":7,"gap":1,"case":"AllOnesEvenLen","witness":7,"witness_weight":3,"zero_min":9,'
+        '"flags":["GapEquals1","ZeroMinExceedsKplus2"]}'
+    )
+
+
 def test_scan_jobs_deterministic(capsys, small_tasks):
     one = invoke(capsys, "scan", "--from", "1", "--to", "60", "--jobs", "1")[1]
     four = invoke(capsys, "scan", "--from", "1", "--to", "60", "--jobs", "4")[1]

@@ -87,6 +87,17 @@ def test_zero_min_past_ceiling_raises(monkeypatch):
         zero_min(1)
 
 
+def test_proven_ceilings_are_pinned():
+    # a walk that passed its ceiling by a step would still find every true
+    # answer, so only this pins them: f <= k_odd + 4 and zero_min <= 2^w + 1
+    rng = random.Random(22)
+    ks = [1, 2, 6, *((1 << r) + sign for r in (2, 3, 16, 61, 200) for sign in (1, -1))]
+    ks += [rng.randrange(1, 1 << bits) for bits in (8, 64, 199, 200, 200) for _ in range(2)]
+    for k in ks:
+        assert oracle._f_ceiling(k) == k // (k & -k) + 4
+        assert oracle._zero_ceiling(k) == 2 ** len(format(k, "b")) + 1
+
+
 def _every_n(k, parity, cap):
     """The least n <= cap, even n included, with s2(k*n) of the given parity, or None."""
     return next((n for n in range(1, cap + 1) if (k * n).bit_count() & 1 == parity), None)
