@@ -112,6 +112,12 @@ def _positive(text: str) -> int:
     return value
 
 
+def _file(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file")
+    return text
+
+
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform has one."""
     if hasattr(os, "sched_getaffinity"):
@@ -153,7 +159,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = sub.add_parser("scan", help="verified per-k records over a range")
     cmd.add_argument("--from", dest="k_min", type=_positive, required=True)
     cmd.add_argument("--to", dest="k_max", type=_positive, required=True)
-    cmd.add_argument("--csv", dest="csv_path", help="write CSV to this path instead of JSON lines")
+    cmd.add_argument("--csv", dest="csv_path", type=_file, help="write CSV to this path instead of JSON lines")
     cmd.add_argument(
         "--jobs",
         type=_positive,

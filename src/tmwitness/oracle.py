@@ -45,18 +45,32 @@ def _zero_ceiling(k: int) -> int:
 _FEW_OPEN = 8
 
 
+# a walk stops at this n when its proven ceiling lies past it: 2^27 odd n, 11-12 s at
+# the 80-90 ns an odd n takes on a 2-core x86-64 box; the longest walk that anything
+# here runs, to 4^12 + 3, stays below 2^25, and f(2^61 + 1) would take millennia
+_WALK_BOUND = 1 << 28
+
+
 def _walk(k: int, parity: int, limit: int, start: int = 1) -> int:
     """Least odd n in start..limit, start odd, whose product with k has the given weight parity.
 
     Exhausting limit, a proven ceiling, is a contradiction and raises
-    TheoremViolationError.
+    TheoremViolationError. A walk that reaches _WALK_BOUND below its ceiling
+    stops there and raises ValueError.
     """
     step = 2 * k
     product = k * (start - 2)
-    for n in range(start, limit + 1, 2):
+    top = min(limit, _WALK_BOUND)
+    for n in range(start, top + 1, 2):
         product += step
         if product.bit_count() & 1 == parity:
             return n
+    if limit > top:
+        least, hint = ("f", "; `f --method constructive` gives a witness") if parity else ("zero_min", "")
+        raise ValueError(
+            f"the oracle walk for {least} of k={k} stopped at n={(top - 1) | 1}, "
+            f"short of its proven ceiling {limit}{hint}"
+        )
     if parity:
         raise TheoremViolationError(f"no multiplier up to {limit} works for k={k}")
     raise TheoremViolationError(f"no even-weight multiple of k={k} up to n={limit}")
@@ -87,10 +101,11 @@ def f_and_zero_mins(ks: Sequence[int]) -> tuple[list[int], list[int]]:
     (f = 1) or even weight (zero_min = 1), and leaves the other open. Then,
     for n = 3, 5, ..., the open k take one pass of products and weights, and
     those whose product has the wanted parity are settled at n.
-    Once no more than _FEW_OPEN are left, each is walked alone from the next
-    n up to its own proven ceiling, which raises past it. The passes read no
-    ceiling, as a ceiling is a proven bound: a k settled in a pass has its
-    least n, and the scan holds each f to the construction's hit as well.
+    Once no more than _FEW_OPEN are left, or the passes reach _WALK_BOUND,
+    each is walked alone from the next n up to its own proven ceiling, and
+    raises as _walk does. The passes read no ceiling, as a ceiling is a
+    proven bound: a k settled in a pass has its least n, and the scan holds
+    each f to the construction's hit as well.
     """
     if min(ks, default=1) < 1:
         raise ValueError("k must be positive")
@@ -100,7 +115,7 @@ def f_and_zero_mins(ks: Sequence[int]) -> tuple[list[int], list[int]]:
         places = [at for at, weight in enumerate(weights) if weight & 1 != parity]
         walking = [ks[at] for at in places]
         n = 1
-        while len(places) > _FEW_OPEN:
+        while len(places) > _FEW_OPEN and n + 2 <= _WALK_BOUND:
             n += 2
             hits = [(k * n).bit_count() & 1 for k in walking]  # faster than a chain of map()s here
             misses = list(map(not_, hits))

@@ -114,6 +114,43 @@ def test_zeromin_past_ceiling_exits_3(capsys, monkeypatch):
     assert "theorem violation" in err
 
 
+# with the oracle walks bounded at 2^10, f(2^10 + 1) = 2^10 + 1 and zero_min(2^11 - 1) = 2^11 + 1 lie past it
+_PAST_THE_BOUND = "f of k=1025 stopped at n=1023, short of its proven ceiling 1029; `f --method constructive` gives a witness"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["f", "1025"], _PAST_THE_BOUND),
+        (["f", "1025", "--method", "both"], _PAST_THE_BOUND),
+        (["f", "1025", "--method", "oracle"], _PAST_THE_BOUND),
+        (["zeromin", "2047"], "zero_min of k=2047 stopped at n=1023, short of its proven ceiling 2049"),
+    ],
+)
+def test_walk_past_the_bound_exits_2(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr("tmwitness.oracle._WALK_BOUND", 1 << 10)
+    assert invoke(capsys, *argv) == (2, "", f"error: the oracle walk for {message}\n")
+    assert invoke(capsys, "f", "1025", "--method", "constructive") == (
+        0, '{"k":1025,"f":1025,"gap":0,"case":"Lemma1"}\n', ""
+    )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_stops_at_the_first_walk_past_the_bound(capsys, monkeypatch, tmp_path, small_tasks, jobs):
+    # 1025 is the first odd core of 1024..1100 whose walk passes the bound; the
+    # cores below 1024 that its even k need are not
+    monkeypatch.setattr("tmwitness.oracle._WALK_BOUND", 1 << 10)
+    target = tmp_path / "scan.csv"
+    target.write_bytes(b"earlier contents\n")
+    for argv in (["--csv", str(target)], []):
+        code, out, err = invoke(capsys, "scan", "--from", "1024", "--to", "1100", "--jobs", str(jobs), *argv)
+        assert (code, err) == (2, f"error: the oracle walk for {_PAST_THE_BOUND}\n")
+        assert '"k":1025,' not in out
+        assert small_tasks.taken() == (jobs if jobs > 1 else 0)
+    assert target.read_bytes() == b"earlier contents\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["scan.csv"]
+
+
 def test_scan_jsonl(capsys):
     code, out, _ = invoke(capsys, "scan", "--from", "1", "--to", "3", "--jobs", "1")
     assert code == 0
@@ -266,6 +303,32 @@ def test_scan_violation_in_a_worker_exits_3(capsys, monkeypatch, tmp_path, forks
         assert '"k":51,' not in out
         assert forks.taken() == 2
     assert not target.exists()
+
+
+
+def test_scan_csv_refuses_an_empty_path(capsys):
+    code, out, err = invoke(capsys, "scan", "--from", "1", "--to", "3", "--csv", "")
+    assert (code, out) == (2, "")
+    assert "argument --csv: must name a file" in err
+
+
+@pytest.mark.parametrize("csv", [False, True])
+def test_scan_past_2_to_64_equal_for_jobs_1_and_2(capsys, tmp_path, small_tasks, csv):
+    # every column of this range is a list, as its ints pass 2^64; no core here is
+    # 2^r + 1, 4^r - 1 or 2^w - 1 with w odd, whose oracle walks run to about k
+    k_min, k_max = 2**65 + 2000001, 2**65 + 2000100
+    outputs = []
+    for jobs in (1, 2):
+        target = tmp_path / f"scan-{jobs}.csv"
+        argv = ["--csv", str(target)] if csv else []
+        code, out, err = invoke(capsys, "scan", "--from", str(k_min), "--to", str(k_max), "--jobs", str(jobs), *argv)
+        assert (code, err) == (0, "")
+        outputs.append(target.read_bytes() if csv else out)
+    assert small_tasks.taken() == 2
+    assert outputs[0] == outputs[1]
+    if not csv:
+        assert outputs[0] == _per_row_jsonl(k_min, k_max)
+    assert len(outputs[0].splitlines()) == 100 + csv
 
 
 def test_scan_csv_unwritable_path_is_io_error(capsys, tmp_path):
@@ -523,6 +586,28 @@ def test_imports_stay_lazy(tmp_path):
     for argv in (["tm", "5"], ["witness", "51"], ["freq", "--k", "3", "--samples", "1000"], scan):
         loaded = modules_loaded_by(f"from tmwitness.cli import run\nassert run({argv!r}) == 0")
         assert not loaded & {"concurrent.futures", "multiprocessing", "dataclasses"}, argv
+
+
+
+# the package's public names: its five modules' __all__ and cli's four
+_PUBLIC = [
+    "CaseLabel", "ConjectureReport", "FrequencyRecord", "GenBaseQuery", "RunDecomposition", "ScanRecord",
+    "THEOREM_HEADER", "TheoremViolationError", "UnsupportedCaseError", "WeightFamilyRecord", "WitnessCertificate",
+    "certify", "classify", "conjecture_scan", "construct_candidates", "corollary_construct", "emit_csv",
+    "f_and_zero_mins", "f_exact", "frequency", "g_min", "lower_slice", "main", "min_weight_witness",
+    "parse_certificate", "prop_construct", "reduce_to_odd", "run", "run_decompose", "scan_theorem",
+    "scan_weight_family", "serialize_certificate", "shifted_difference_digit_sum", "sum_digits", "thue_morse",
+    "to_word", "upper_slice", "verify", "word_shape", "zero_min",
+]
+
+
+def test_package_exports_each_public_name_once():
+    assert sorted(tmwitness.__all__) == _PUBLIC
+    assert len(set(tmwitness.__all__)) == len(tmwitness.__all__)
+    modules = tmwitness.digitcore, tmwitness.genbase, tmwitness.oracle, tmwitness.scanner, tmwitness.witness, cli
+    for name in tmwitness.__all__:
+        (module,) = [module for module in modules if name in module.__all__]
+        assert getattr(tmwitness, name) is getattr(module, name)
 
 
 def test_console_script_declared():

@@ -202,6 +202,61 @@ def test_pair_walk_past_ceiling_raises(monkeypatch, ceiling, k, message):
         f_and_zero_mins([k])
 
 
+
+@pytest.mark.parametrize(
+    "least, k, message",
+    [
+        # f(2^10 + 1) = 2^10 + 1 and zero_min(2^11 - 1) = 2^11 + 1, both past a bound of 2^10
+        (f_exact, (1 << 10) + 1, "f of k=1025 stopped at n=1023, short of its proven ceiling 1029; "
+         "`f --method constructive` gives a witness"),
+        (zero_min, (1 << 11) - 1, "zero_min of k=2047 stopped at n=1023, short of its proven ceiling 2049$"),
+    ],
+)
+def test_walk_past_the_bound_stops_there(monkeypatch, least, k, message):
+    monkeypatch.setattr(oracle, "_WALK_BOUND", 1 << 10)
+    with pytest.raises(ValueError, match=message):
+        least(k)
+    with pytest.raises(ValueError, match=message):
+        f_and_zero_mins([k])
+
+
+def test_walk_reaches_a_ceiling_on_the_bound(monkeypatch):
+    # f(4^5 - 1) = 4^5 + 3, its ceiling: a bound there still finds it, one below stops
+    monkeypatch.setattr(oracle, "_WALK_BOUND", 1027)
+    assert f_exact(1023) == 1027
+    monkeypatch.setattr(oracle, "_WALK_BOUND", 1026)
+    with pytest.raises(ValueError, match="f of k=1023 stopped at n=1025"):
+        f_exact(1023)
+
+
+def test_batch_passes_stop_at_the_bound(monkeypatch):
+    # with _FEW_OPEN at 0, the passes alone walk the batch, until the bound
+    monkeypatch.setattr(oracle, "_WALK_BOUND", 1 << 10)
+    monkeypatch.setattr(oracle, "_FEW_OPEN", 0)
+    starts = []
+    walk = oracle._walk
+
+    def counted(k, wanted, limit, start=1):
+        starts.append(start)
+        return walk(k, wanted, limit, start)
+
+    monkeypatch.setattr(oracle, "_walk", counted)
+    ks = list(range(3, 1001, 2))
+    assert f_and_zero_mins(ks) == ([f_exact(k) for k in ks], [zero_min(k) for k in ks])
+    starts.clear()
+    with pytest.raises(ValueError, match="f of k=1025 stopped at n=1023"):
+        f_and_zero_mins(ks + [1025])
+    assert starts == [1025]
+
+
+@pytest.mark.parametrize("ceiling, k", [("_zero_ceiling", 1), ("_f_ceiling", 3)])
+def test_ceiling_below_the_bound_still_raises_a_violation(monkeypatch, ceiling, k):
+    monkeypatch.setattr(oracle, "_WALK_BOUND", 1 << 10)
+    monkeypatch.setattr(oracle, ceiling, lambda k: 2)
+    with pytest.raises(TheoremViolationError):
+        f_and_zero_mins([k])
+
+
 def test_min_weight_witness_frozen():
     assert min_weight_witness(51, 2, 32) is None
     assert min_weight_witness(3, 3, 8) == 7

@@ -25,6 +25,7 @@ from tmwitness.scanner import (
     WeightFamilyRecord,
     _add_to_lanes,
     _blocks,
+    _column,
     _family_gaps,
     _first_block,
     emit_csv,
@@ -123,6 +124,18 @@ def test_scan_matches_per_k_reference_for_every_jobs(monkeypatch, k_min, k_max):
     monkeypatch.setattr("tmwitness.scanner._CORE_CHUNK", 37)
     for jobs in (1, 2, 3):
         assert scan_theorem(k_min, k_max, jobs=jobs) == reference, jobs
+
+
+
+def test_scan_past_2_to_64_matches_the_per_k_reference(small_tasks):
+    # every kept column here is a plain list, as its ints pass 2^64; no core of
+    # the range is 2^r + 1, 4^r - 1 or 2^w - 1 with w odd, whose walks run to about k
+    k_min, k_max = 2**65 + 2000001, 2**65 + 2000100
+    assert type(_column(k_min)) is list
+    reference = [_reference_record(k) for k in range(k_min, k_max + 1)]
+    assert scan_theorem(k_min, k_max) == reference
+    assert scan_theorem(k_min, k_max, jobs=2) == reference
+    assert small_tasks.taken() == 2
 
 
 _cached_reference = cache(_reference_record)
