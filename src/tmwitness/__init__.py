@@ -6,30 +6,42 @@ from the run structure of k, checks it against a brute-force oracle, extends
 the question to digit sums in arbitrary bases, and scans ranges of k while
 verifying every claimed invariant as it goes.
 
-The package exports every name in its modules' __all__: each is declared
-once, in its module, and imported here by `import *`.
+The package exports every name in its modules' __all__, each declared once,
+in its module. `import tmwitness` loads none of them: a name, a submodule,
+__all__ and dir() each load what they need on first use (PEP 562), and the
+name found is bound here, so the next lookup is a plain attribute.
 """
 
 import importlib
 
-from .digitcore import *
-from .genbase import *
-from .oracle import *
-from .scanner import *
-from .witness import *
-
 __version__ = "0.1.0"
 
-# cli's names load cli, and with it argparse and json, on first use (PEP 562)
-_CLI_NAMES = ("main", "parse_certificate", "run", "serialize_certificate")
+# searched in this order, each after the modules it imports
+_MODULES = ("digitcore", "witness", "oracle", "scanner", "genbase", "cli")
 
-# each `from .x import *` above has bound the submodule x here as well, as in asyncio/__init__.py
-__all__ = digitcore.__all__ + genbase.__all__ + oracle.__all__ + scanner.__all__ + witness.__all__ + [*_CLI_NAMES]
+
+def _load(module: str):
+    # import_module, as `from . import x` would look x up here again; importing binds x here
+    return importlib.import_module(f".{module}", __name__)
 
 
 def __getattr__(name: str):
-    if name == "cli" or name in _CLI_NAMES:
-        # import_module, as `from . import cli` would look cli up here again
-        cli = importlib.import_module(".cli", __name__)
-        return cli if name == "cli" else getattr(cli, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _MODULES:
+        return _load(name)
+    if name == "__all__":
+        value = [public for module in _MODULES for public in _load(module).__all__]
+    else:
+        # no public name starts with _, so a probe for one, such as __wrapped__, loads nothing
+        for module in () if name.startswith("_") else map(_load, _MODULES):
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    # __all__ first, as loading it binds the submodules here; dir() sorts the names
+    return {*__getattr__("__all__"), *globals()}

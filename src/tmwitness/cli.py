@@ -14,7 +14,7 @@ import os
 import sys
 from typing import Sequence
 
-from . import genbase, oracle, scanner, witness
+# each command imports the sibling modules it runs, so `tm 5` loads neither the oracles nor the scan
 from .digitcore import TheoremViolationError, reduce_to_odd, sum_digits, thue_morse
 
 __all__ = ["run", "main", "serialize_certificate", "parse_certificate"]
@@ -42,12 +42,7 @@ def _object(pairs) -> str:
     ]) + "}"
 
 
-# a scan row's JSON line, keyed by THEOREM_HEADER: the case quoted, every other cell filled as _object writes it
-_SCAN_LINE = "{%s}\n" % ",".join(
-    f'"{name}":"%s"' if name == "case" else f'"{name}":%s' for name in scanner.THEOREM_HEADER)
-
-
-def serialize_certificate(certificate: witness.WitnessCertificate) -> str:
+def serialize_certificate(certificate: "WitnessCertificate") -> str:
     """Compact JSON for any WitnessCertificate, consistent or not, in fixed field order.
 
     k_input, k_odd, shift, case, params, candidates, guarantee ("direct" or
@@ -68,16 +63,18 @@ def serialize_certificate(certificate: witness.WitnessCertificate) -> str:
     )
 
 
-def parse_certificate(text: str) -> witness.WitnessCertificate:
+def parse_certificate(text: str) -> "WitnessCertificate":
     """Inverse of serialize_certificate; accepts bare and string-encoded integers."""
+    from .witness import CaseLabel, WitnessCertificate
+
     raw = json.loads(text)
     guarantee = raw["guarantee"]
     pivot = None if guarantee == "direct" else _decode_int(guarantee["triple"])
-    return witness.WitnessCertificate(
+    return WitnessCertificate(
         k_input=_decode_int(raw["k_input"]),
         k_odd=_decode_int(raw["k_odd"]),
         shift=raw["shift"],
-        case=witness.CaseLabel[raw["case"]],
+        case=CaseLabel[raw["case"]],
         params={name: _decode_int(value) for name, value in raw["params"].items()},
         candidates=tuple(_decode_int(c) for c in raw["candidates"]),
         triple_pivot=pivot,
@@ -199,13 +196,19 @@ def _emit(payload: dict) -> None:
 
 
 def _run_f(args) -> int:
+    from . import witness
+
     if args.method == "oracle":
+        from . import oracle
+
         value = oracle.f_exact(args.k)
         case = witness.classify(reduce_to_odd(args.k)[0])[0]
     elif args.method == "constructive":
         certificate = witness.certify(args.k)
         value, case = certificate.verified_hit, certificate.case
     else:
+        from . import scanner
+
         value, certificate = scanner.checked_least(args.k)
         case = certificate.case
     _emit({"k": args.k, "f": value, "gap": value - args.k, "case": case.name})
@@ -213,6 +216,8 @@ def _run_f(args) -> int:
 
 
 def _run_genbase(args) -> int:
+    from . import genbase, oracle
+
     method = args.method
     if args.residue is not None:
         if method in ("oracle", "both"):
@@ -253,22 +258,35 @@ def _dispatch(args) -> int:
     elif args.command == "f":
         return _run_f(args)
     elif args.command == "witness":
+        from . import witness
+
         print(serialize_certificate(witness.certify(args.k)))
     elif args.command == "zeromin":
+        from . import oracle
+
         _emit({"k": args.k, "zero_min": oracle.zero_min(args.k)})
     elif args.command == "scan":
+        from . import scanner
+
         if args.csv_path:
             scanner.scan_csv(args.k_min, args.k_max, args.csv_path, jobs=args.jobs)
         else:
+            # a row's JSON line, keyed by THEOREM_HEADER: the case quoted, every other cell filled as _object writes it
+            line = "{%s}\n" % ",".join(
+                f'"{name}":"%s"' if name == "case" else f'"{name}":%s' for name in scanner.THEOREM_HEADER)
             for block in scanner._blocks(args.k_min, args.k_max, args.jobs):
                 if 2 * block[0][-1] + 1 > _JSON_SAFE_MAX:  # no value of a row passes zero_min <= 2k + 1
                     block = [list(map(_int_text, cells)) if type(cells[0]) is int else cells for cells in block]
                 # most rows have no flags, and a _dump call takes about 1 us
-                sys.stdout.write(scanner._block_text(block, _SCAN_LINE, lambda f: _dump(f) if f else "[]"))
+                sys.stdout.write(scanner._block_text(block, line, lambda f: _dump(f) if f else "[]"))
     elif args.command == "weights":
+        from . import scanner
+
         for record in scanner.scan_weight_family(args.exponent_min, args.exponent_max, args.bit_limit):
             _emit({"r": record.exponent, "k": record.k, "counterexample": record.counterexample})
     elif args.command == "freq":
+        from . import scanner
+
         record = scanner.frequency(args.k, args.samples)
         fraction = record.ones_frequency
         _emit(
@@ -282,6 +300,8 @@ def _dispatch(args) -> int:
     elif args.command == "genbase":
         return _run_genbase(args)
     elif args.command == "conjecture":
+        from . import genbase
+
         report = genbase.conjecture_scan(args.base, args.modulus, args.digit_class, args.k_max)
         _emit(report._asdict())  # the report's field order is the payload's key order
     else:

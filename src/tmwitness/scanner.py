@@ -10,11 +10,9 @@ offender.
 """
 
 import os
-import shutil
 from array import array
 from bisect import bisect_left
 from contextlib import suppress
-from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress, islice, repeat, starmap
 from operator import ge, gt, sub, xor
@@ -64,7 +62,7 @@ class FrequencyRecord(NamedTuple):
 
     k: int
     sample_count: int
-    ones_frequency: Fraction
+    ones_frequency: "Fraction"  # fractions loads with frequency, not with the package
 
 
 _CASE_NAMES = {case.value: case.name for case in CaseLabel}
@@ -429,6 +427,8 @@ def frequency(k: int, sample_count: int) -> FrequencyRecord:
     not be a power of two, as it would in a layout that set the products side
     by side in fixed-width fields and folded each field to its parity.
     """
+    from fractions import Fraction
+
     odd, _ = reduce_to_odd(k)
     if sample_count < 1:
         raise ValueError("need at least one sample")
@@ -504,6 +504,8 @@ def _write_csv(texts: Iterable[str], destination) -> None:
         with open(temporary, "w", encoding="utf-8", newline="") as handle:
             handle.writelines(lines)
         if os.path.exists(path):
+            import shutil
+
             shutil.copymode(path, temporary)
         os.replace(temporary, path)
     except BaseException:

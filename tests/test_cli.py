@@ -569,24 +569,120 @@ def modules_loaded_by(code: str) -> set[str]:
     return set(done.stdout.splitlines()[-1].split())
 
 
-def test_imports_stay_lazy(tmp_path):
-    # a library import loads neither the CLI's parsers nor the pool nor logging
-    loaded = modules_loaded_by("import tmwitness")
-    assert "tmwitness.scanner" in loaded
-    assert not loaded & {"concurrent.futures", "multiprocessing", "argparse", "json", "logging", "dataclasses"}
-    # cli and its four names load it on first use, also through import *
-    loaded = modules_loaded_by(
-        "import tmwitness\nassert tmwitness.cli.run is tmwitness.run\n"
-        "from tmwitness import *\nassert main is tmwitness.cli.main"
-    )
-    assert "argparse" in loaded
-    # short commands load the CLI but not the pool or dataclasses, and a scan
-    # with workers forks them, so it loads no pool either: 1..5000 is three tasks
-    scan = ["scan", "--from", "1", "--to", "5000", "--jobs", "2", "--csv", str(tmp_path / "scan.csv")]
-    for argv in (["tm", "5"], ["witness", "51"], ["freq", "--k", "3", "--samples", "1000"], scan):
-        loaded = modules_loaded_by(f"from tmwitness.cli import run\nassert run({argv!r}) == 0")
-        assert not loaded & {"concurrent.futures", "multiprocessing", "dataclasses"}, argv
+_POOL = {"concurrent.futures", "multiprocessing", "dataclasses"}
+_LIBRARY = {"argparse", "json", "logging", *_POOL}  # a library import loads no CLI parser, pool or logging
+_SCAN_MODULES = {"cli", "digitcore", "witness", "oracle", "scanner"}
 
+
+def _run(*argv):
+    return f"from tmwitness.cli import run\nassert run({list(argv)!r}) == 0"
+
+
+# each entry point: the code a fresh interpreter runs, the tmwitness modules it
+# loads (all of them), and other modules it must load and must not
+_ENTRY_POINTS = [
+    ("import tmwitness", set(), set(), _LIBRARY),
+    ("from tmwitness import certify", {"digitcore", "witness"}, set(), _LIBRARY),
+    # cli and its four names load it on first use, also through import *
+    (
+        "import tmwitness\nassert tmwitness.cli.run is tmwitness.run\n"
+        "from tmwitness import *\nassert main is tmwitness.cli.main",
+        {"cli", "digitcore", "witness", "oracle", "scanner", "genbase"}, {"argparse"}, _POOL,
+    ),
+    (_run("tm", "5"), {"cli", "digitcore"}, set(), {"fractions", *_POOL}),
+    (_run("witness", "51"), {"cli", "digitcore", "witness"}, set(), _POOL),
+    # 1..5000 is three tasks, which forked workers run, so it loads no pool either
+    (_run("scan", "--from", "1", "--to", "5000", "--jobs", "2", "--csv", "{csv}"), _SCAN_MODULES, set(),
+     {"fractions", *_POOL}),
+    (_run("freq", "--k", "3", "--samples", "1000"), _SCAN_MODULES, {"fractions"}, _POOL),
+]
+
+
+def test_imports_stay_lazy(tmp_path):
+    for code, ours, present, absent in _ENTRY_POINTS:
+        loaded = modules_loaded_by(code.replace("{csv}", str(tmp_path / "scan.csv")))
+        assert {name.removeprefix("tmwitness.") for name in loaded if name.startswith("tmwitness.")} == ours, code
+        assert present <= loaded, code
+        assert not loaded & absent, code
+
+
+def test_star_import_binds_the_public_names_alone():
+    done = fresh_process("-c", "before = set(globals())\nfrom tmwitness import *\n"
+                         "print(*sorted(set(globals()) - before - {'before'}))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == _PUBLIC
+
+
+def test_dir_lists_every_public_name():
+    done = fresh_process("-c", "import tmwitness\nprint(*dir(tmwitness))")
+    assert done.returncode == 0, done.stderr
+    names = done.stdout.split()
+    assert {*_PUBLIC, "cli", "digitcore", "genbase", "oracle", "scanner", "witness"} <= set(names)
+    assert len(set(names)) == len(names)
+
+
+def test_unknown_name_is_an_attribute_error_naming_the_package():
+    with pytest.raises(AttributeError, match="module 'tmwitness' has no attribute 'certfy'"):
+        tmwitness.certfy
+    assert not hasattr(tmwitness, "certfy")
+    assert not hasattr(tmwitness, "__wrapped__")
+
+
+def test_a_resolved_name_is_bound_on_the_package():
+    done = fresh_process("-c", "import tmwitness\nassert 'certify' not in vars(tmwitness)\n"
+                         "certify = tmwitness.certify\nassert vars(tmwitness)['certify'] is certify\n"
+                         "assert certify is tmwitness.witness.certify")
+    assert done.returncode == 0, done.stderr
+
+
+# each subcommand in a fresh process, as the in-process tests run with oracle
+# and scanner already loaded by conftest and so cannot see an import a command misses
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        ("tm 7", '{"n":7,"t":1}\n'),
+        ("sdigits --base 10 119759", '{"base":10,"n":119759,"digit_sum":32}\n'),
+        *[(f"f 51 --method {method}", '{"k":51,"f":7,"gap":-44,"case":"Lemma6_tEqU_U2u1_one"}\n')
+          for method in ("oracle", "constructive", "both")],
+        ("witness 7", '{"k_input":7,"k_odd":7,"shift":0,"case":"AllOnesOddLen","params":{"length":3},'
+                      '"candidates":[1],"guarantee":"direct","verified_hit":1}\n'),
+        ("zeromin 7", '{"k":7,"zero_min":9}\n'),
+        ("scan --from 3 --to 6 --jobs 2",
+         '{"k":3,"f":7,"gap":4,"case":"AllOnesEvenLen","witness":7,"witness_weight":3,"zero_min":1,'
+         '"flags":["GapEquals4"]}\n'
+         '{"k":4,"f":1,"gap":-3,"case":"AllOnesOddLen","witness":1,"witness_weight":1,"zero_min":3,"flags":[]}\n'
+         '{"k":5,"f":5,"gap":0,"case":"Lemma1","witness":5,"witness_weight":2,"zero_min":1,"flags":["GapEquals0"]}\n'
+         '{"k":6,"f":7,"gap":1,"case":"AllOnesEvenLen","witness":7,"witness_weight":3,"zero_min":1,'
+         '"flags":["GapEquals1"]}\n'),
+        ("weights --r-from 4 --r-to 5 --bit-limit 24",
+         '{"r":4,"k":51,"counterexample":null}\n{"r":5,"k":99,"counterexample":null}\n'),
+        ("freq --k 3 --samples 100", '{"k":3,"sample_count":100,"ones_numerator":21,"ones_denominator":100}\n'),
+        ("genbase --base 2 --mod 2 --class 1 --k 3",
+         '{"base":2,"mod":2,"class":1,"k":3,"residue":null,"method":"both","constructed":7,"minimum":7}\n'),
+        ("genbase --base 2 --mod 2 --class 1 --k 3 --residue 0",
+         '{"base":2,"mod":2,"class":1,"k":3,"residue":0,"method":"construct","constructed":84}\n'),
+        ("conjecture --base 2 --mod 2 --class 1 --max 64",
+         '{"base":2,"modulus":2,"digit_class":1,"k_max":64,"worst_k":3,"worst_gap":4,"bound":8,'
+         '"violated":false}\n'),
+    ],
+)
+def test_every_subcommand_in_a_fresh_process(argv, out):
+    done = module_process(*argv.split())
+    assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
+
+
+def test_scan_csv_over_an_existing_file_in_a_fresh_process(tmp_path):
+    # the replaced file keeps its mode, through the shutil that _write_csv loads
+    path = tmp_path / "scan.csv"
+    path.write_text("old\n")
+    path.chmod(0o640)
+    done = module_process("scan", "--from", "3", "--to", "6", "--jobs", "2", "--csv", str(path))
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    assert path.read_text() == (
+        "k,f,gap,case,witness,witness_weight,zero_min,flags\n3,7,4,AllOnesEvenLen,7,3,1,GapEquals4\n"
+        "4,1,-3,AllOnesOddLen,1,1,3,\n5,5,0,Lemma1,5,2,1,GapEquals0\n6,7,1,AllOnesEvenLen,7,3,1,GapEquals1\n"
+    )
+    assert path.stat().st_mode & 0o777 == 0o640
 
 
 # the package's public names: its five modules' __all__ and cli's four
