@@ -218,13 +218,10 @@ def _run_f(args) -> int:
 def _run_genbase(args) -> int:
     from . import genbase, oracle
 
-    method = args.method
-    if args.residue is not None:
-        if method in ("oracle", "both"):
-            raise ValueError("a pinned residue supports --method construct only")
-        method = "construct"
-    elif method is None:
-        method = "both"
+    pinned = args.residue is not None
+    method = args.method or ("construct" if pinned else "both")
+    if pinned and method != "construct":
+        raise ValueError("a pinned residue supports --method construct only")
     query = genbase.GenBaseQuery(args.base, args.modulus, args.digit_class, args.k, args.residue)
     payload = {
         "base": args.base,
@@ -234,18 +231,14 @@ def _run_genbase(args) -> int:
         "residue": args.residue,
         "method": method,
     }
-    if args.residue is not None:
-        payload["constructed"] = genbase.corollary_construct(query)
-    else:
-        if method in ("construct", "both"):
-            payload["constructed"] = genbase.prop_construct(query)
-        if method in ("oracle", "both"):
-            payload["minimum"] = oracle.g_min(query)
-        if method == "both" and payload["minimum"] > payload["constructed"]:
-            raise TheoremViolationError(
-                f"oracle minimum {payload['minimum']} exceeds "
-                f"constructed witness {payload['constructed']}"
-            )
+    if method != "oracle":
+        payload["constructed"] = (genbase.corollary_construct if pinned else genbase.prop_construct)(query)
+    if method != "construct":
+        payload["minimum"] = oracle.g_min(query)
+    if method == "both" and payload["minimum"] > payload["constructed"]:
+        raise TheoremViolationError(
+            f"oracle minimum {payload['minimum']} exceeds constructed witness {payload['constructed']}"
+        )
     _emit(payload)
     return 0
 

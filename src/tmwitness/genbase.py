@@ -140,13 +140,11 @@ def conjecture_scan(base: int, modulus: int, digit_class: int, k_max: int) -> Co
     """
     if k_max < 1:
         raise ValueError("k_max must be positive")
-    wanted = GenBaseQuery(base, modulus, digit_class, 1).digit_class
-    worst_gap: int | None = None
-    worst_k = 1
-    for k in range(1, k_max + 1):
+    first = GenBaseQuery(base, modulus, digit_class, 1)
+    wanted, worst_gap, worst_k = first.digit_class, oracle.g_min(first) - 1, 1
+    for k in range(2, k_max + 1):
         gap = oracle.g_min(GenBaseQuery(base, modulus, wanted, k)) - k
-        if worst_gap is None or gap > worst_gap:
+        if gap > worst_gap:
             worst_gap, worst_k = gap, k
     bound = base ** (modulus + wanted)
-    assert worst_gap is not None
     return ConjectureReport(base, modulus, wanted, k_max, worst_k, worst_gap, bound, worst_gap > bound)

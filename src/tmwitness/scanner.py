@@ -156,12 +156,12 @@ def _in_order(tasks: list[Sequence[int]], jobs: int) -> Iterator[tuple[list[int]
     pipe t mod W gives the results in task order, and a worker blocks once
     its pipe's buffer is full, so how far it runs ahead is bounded whatever
     the range and however far the consumer lags. A worker's exception is
-    raised here; a worker that ends without a result raises RuntimeError. A
-    lone task, or a platform without os.fork, runs in this process, with the
-    same results. However the scan stops, every worker is killed and reaped
-    and every pipe closed. A fork copies only the calling thread, and a
-    worker takes no lock that another thread could hold: it verifies, walks
-    the oracle and pickles, and logs nothing.
+    raised here; a worker that ends without a result raises ChildProcessError,
+    an OSError. A lone task, or a platform without os.fork, runs in this
+    process, with the same results. However the scan stops, every worker is
+    killed and reaped and every pipe closed. A fork copies only the calling
+    thread, and a worker takes no lock that another thread could hold: it
+    verifies, walks the oracle and pickles, and logs nothing.
     """
     workers = min(jobs, len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
@@ -186,7 +186,7 @@ def _in_order(tasks: list[Sequence[int]], jobs: int) -> Iterator[tuple[list[int]
             try:
                 result = pickle.load(readers[worker])
             except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"scan worker {pids[worker]} ended without the result of task {task}") from None
+                raise ChildProcessError(f"scan worker {pids[worker]} ended without the result of task {task}") from None
             if isinstance(result, BaseException):
                 raise result
             yield result

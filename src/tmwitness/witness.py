@@ -1,12 +1,12 @@
 """Structural classification of odd multipliers and the constructive witness engine.
 
-Every odd k >= 1 lands in exactly one of twenty-three cases determined by the
-run structure of its binary word. Each case carries either a single multiplier
-n whose product with k has odd binary weight outright, or an ascending triple
-{1, m, n} constructed so that the weights of k, k*m and k*n cannot all be
-even. All candidates stay at or below k + 4 and carry at most three set bits,
-which is what makes the certificate a constructive witness for the bound on
-the least odd-weight multiplier.
+Every odd k >= 1 lands in exactly one of twenty-three cases, read from the run
+structure of its binary word; the cases are the keys of _ARMS, each mapped to
+its construction: a single multiplier n whose product with k has odd weight
+outright, or an ascending triple {1, m, n} so that the weights of k, k*m and
+k*n cannot all be even. All candidates stay at or below k + 4 and carry at
+most three set bits, which makes the certificate a constructive witness for
+the bound on the least odd-weight multiplier.
 
 Certificates never leave this module unverified: every candidate claim is
 re-checked by direct evaluation, so the case analysis is a tested artifact
@@ -34,32 +34,40 @@ class UnsupportedCaseError(ValueError):
     """Raised when a predicted product word is requested for a case that has none."""
 
 
-class CaseLabel(enum.Enum):
-    """Structural case of an odd multiplier; exactly one applies to every odd k."""
-
-    AllOnesOddLen = enum.auto()
-    AllOnesEvenLen = enum.auto()
-    Lemma1 = enum.auto()
-    Lemma2_rLtU = enum.auto()
-    Lemma2_rGtU = enum.auto()
-    Lemma2_Palindrome = enum.auto()
-    Lemma2_vOdd = enum.auto()
-    Lemma2_vEven_uGe4 = enum.auto()
-    Lemma2_u2_U4_1101 = enum.auto()
-    Lemma2_u2_U5_11000 = enum.auto()
-    Lemma2_u2_U5_11001 = enum.auto()
-    Lemma3_rLtU = enum.auto()
-    Lemma3_rGtU = enum.auto()
-    Lemma4 = enum.auto()
-    Lemma5_tSmall = enum.auto()
-    Lemma5_tEq_u_s_eq = enum.auto()
-    Lemma5_tEq_u_s_big = enum.auto()
-    Lemma5_tGtU_gap = enum.auto()
-    Lemma6_tSmall = enum.auto()
-    Lemma6_tEqU_U2u = enum.auto()
-    Lemma6_tEqU_U2u1_one = enum.auto()
-    Lemma6_tEqU_U2u1_zero = enum.auto()
-    Lemma6_tGtU = enum.auto()
+# every case, in CaseLabel's order, with its construct_candidates arm: (k_odd, width, params)
+# -> (candidates, pivot). A triple's last candidate is m * 2^b + 1 for its pivot m, or
+# 2^(w - 1) + m. Shifts bind looser than + and -: 1 << w - 1 is 2^(w - 1).
+_ARMS = {
+    "AllOnesOddLen": lambda k, w, p: ((1,), None),
+    "AllOnesEvenLen": lambda k, w, p: ((k + 4,), None),
+    "Lemma1": lambda k, w, p: (((1 << w - 1) + 1,), None),
+    "Lemma2_rLtU": lambda k, w, p: (((1 << w - p["lead_ones"] - 1) + 1,), None),
+    "Lemma2_rGtU": lambda k, w, p: ((1, 3, (3 << w - p["tail_ones"] - 1) + 1), 3),
+    "Lemma2_Palindrome": lambda k, w, p: ((3,), None),
+    "Lemma2_vOdd": lambda k, w, p: (((1 << w - p["tail_ones"] - 1) + 1,), None),
+    "Lemma2_vEven_uGe4": lambda k, w, p: ((1, 3, (3 << w - p["tail_ones"] - 1) + 1), 3),
+    "Lemma2_u2_U4_1101": lambda k, w, p: (((1 << w - 4) + 1,), None),
+    "Lemma2_u2_U5_11000": lambda k, w, p: ((1, 3, (3 << w - 5) + 1), 3),
+    "Lemma2_u2_U5_11001": lambda k, w, p: ((1, 5, (5 << w - 5) + 1), 5),
+    "Lemma3_rLtU": lambda k, w, p: (((1 << w - p["lead_ones"] - 1) + 1,), None),
+    "Lemma3_rGtU": lambda k, w, p: (((1 << w - p["tail_ones"] - 1) + 1,), None),
+    "Lemma4": lambda k, w, p: ((1, (m := (1 << p["tail_ones"] - 1) + 1), (1 << w - 1) + m), m),
+    "Lemma5_tSmall": lambda k, w, p: (((1 << w - p["tail_ones"] - p["gap_zeros"]) + 1,), None),
+    "Lemma5_tEq_u_s_eq": lambda k, w, p: (((1 << w - p["tail_ones"] - p["gap_zeros"]) + 1,), None),
+    "Lemma5_tEq_u_s_big": lambda k, w, p: (((1 << w - p["tail_ones"] - p["gap_zeros"] - 1) + 1,), None),
+    "Lemma5_tGtU_gap": lambda k, w, p: (
+        (1, (m := (1 << p["tail_ones"]) + 1), (m << w - p["tail_ones"] - 1) + 1), m
+    ),
+    "Lemma6_tSmall": lambda k, w, p: ((1, 3, (3 << w - p["tail_ones"] - p["gap_zeros"]) + 1), 3),
+    "Lemma6_tEqU_U2u": lambda k, w, p: ((1, 3, (3 << w - p["tail_ones"] - p["gap_zeros"]) + 1), 3),
+    "Lemma6_tEqU_U2u1_one": lambda k, w, p: ((1, 3, (3 << w - p["tail_ones"] - p["gap_zeros"] - 1) + 1), 3),
+    "Lemma6_tEqU_U2u1_zero": lambda k, w, p: ((1, (m := (1 << p["tail_ones"]) + 1), (1 << w - 1) + m), m),
+    "Lemma6_tGtU": lambda k, w, p: (
+        (1, (m := (1 << p["tail_ones"]) + 1), (m << w - p["tail_ones"] - 1) + 1), m
+    ),
+}
+CaseLabel = enum.Enum("CaseLabel", list(_ARMS), module=__name__)
+CaseLabel.__doc__ = "Structural case of an odd multiplier; exactly one applies to every odd k."
 
 
 class WitnessCertificate(NamedTuple):
@@ -194,40 +202,6 @@ def classify(k_odd: int) -> tuple[CaseLabel, dict[str, int]]:
             return _Case.Lemma6_tEqU_U2u1_one, params
         return _Case.Lemma6_tEqU_U2u1_zero, params
     return _Case.Lemma6_tGtU, params
-
-
-# construct_candidates' arms, keyed by case name: (k_odd, width, params) -> (candidates,
-# pivot). A triple's last candidate is m * 2^b + 1 for its pivot m, or 2^(w - 1) + m.
-# Shifts bind looser than + and -: 1 << w - 1 is 2^(w - 1).
-_ARMS = {
-    "AllOnesOddLen": lambda k, w, p: ((1,), None),
-    "AllOnesEvenLen": lambda k, w, p: ((k + 4,), None),
-    "Lemma1": lambda k, w, p: (((1 << w - 1) + 1,), None),
-    "Lemma2_rLtU": lambda k, w, p: (((1 << w - p["lead_ones"] - 1) + 1,), None),
-    "Lemma2_rGtU": lambda k, w, p: ((1, 3, (3 << w - p["tail_ones"] - 1) + 1), 3),
-    "Lemma2_Palindrome": lambda k, w, p: ((3,), None),
-    "Lemma2_vOdd": lambda k, w, p: (((1 << w - p["tail_ones"] - 1) + 1,), None),
-    "Lemma2_vEven_uGe4": lambda k, w, p: ((1, 3, (3 << w - p["tail_ones"] - 1) + 1), 3),
-    "Lemma2_u2_U4_1101": lambda k, w, p: (((1 << w - 4) + 1,), None),
-    "Lemma2_u2_U5_11000": lambda k, w, p: ((1, 3, (3 << w - 5) + 1), 3),
-    "Lemma2_u2_U5_11001": lambda k, w, p: ((1, 5, (5 << w - 5) + 1), 5),
-    "Lemma3_rLtU": lambda k, w, p: (((1 << w - p["lead_ones"] - 1) + 1,), None),
-    "Lemma3_rGtU": lambda k, w, p: (((1 << w - p["tail_ones"] - 1) + 1,), None),
-    "Lemma4": lambda k, w, p: ((1, (m := (1 << p["tail_ones"] - 1) + 1), (1 << w - 1) + m), m),
-    "Lemma5_tSmall": lambda k, w, p: (((1 << w - p["tail_ones"] - p["gap_zeros"]) + 1,), None),
-    "Lemma5_tEq_u_s_eq": lambda k, w, p: (((1 << w - p["tail_ones"] - p["gap_zeros"]) + 1,), None),
-    "Lemma5_tEq_u_s_big": lambda k, w, p: (((1 << w - p["tail_ones"] - p["gap_zeros"] - 1) + 1,), None),
-    "Lemma5_tGtU_gap": lambda k, w, p: (
-        (1, (m := (1 << p["tail_ones"]) + 1), (m << w - p["tail_ones"] - 1) + 1), m
-    ),
-    "Lemma6_tSmall": lambda k, w, p: ((1, 3, (3 << w - p["tail_ones"] - p["gap_zeros"]) + 1), 3),
-    "Lemma6_tEqU_U2u": lambda k, w, p: ((1, 3, (3 << w - p["tail_ones"] - p["gap_zeros"]) + 1), 3),
-    "Lemma6_tEqU_U2u1_one": lambda k, w, p: ((1, 3, (3 << w - p["tail_ones"] - p["gap_zeros"] - 1) + 1), 3),
-    "Lemma6_tEqU_U2u1_zero": lambda k, w, p: ((1, (m := (1 << p["tail_ones"]) + 1), (1 << w - 1) + m), m),
-    "Lemma6_tGtU": lambda k, w, p: (
-        (1, (m := (1 << p["tail_ones"]) + 1), (m << w - p["tail_ones"] - 1) + 1), m
-    ),
-}
 
 
 def construct_candidates(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -305,6 +306,24 @@ def test_scan_violation_in_a_worker_exits_3(capsys, monkeypatch, tmp_path, forks
     assert not target.exists()
 
 
+def test_scan_worker_that_dies_exits_1_with_one_line(capsys, monkeypatch, tmp_path, small_tasks):
+    parent, real_verify = os.getpid(), scanner.verify
+
+    def verify_dying_at_51_in_a_worker(k_odd):
+        if k_odd == 51 and os.getpid() != parent:
+            os._exit(1)  # a worker killed in its task, without a word to the parent
+        return real_verify(k_odd)
+
+    monkeypatch.setattr(scanner, "verify", verify_dying_at_51_in_a_worker)
+    target = tmp_path / "scan.csv"
+    target.write_bytes(b"earlier contents\n")
+    code, out, err = invoke(capsys, "scan", "--from", "1", "--to", "200", "--jobs", "2", "--csv", str(target))
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"i/o error: scan worker \d+ ended without the result of task 3\n", err)
+    assert target.read_bytes() == b"earlier contents\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["scan.csv"]
+    assert small_tasks.taken() == 2
+
 
 def test_scan_csv_refuses_an_empty_path(capsys):
     code, out, err = invoke(capsys, "scan", "--from", "1", "--to", "3", "--csv", "")
@@ -398,6 +417,35 @@ def test_genbase_residue_rejects_oracle_method(capsys):
     )
     assert code == 2
     assert "construct only" in err
+
+
+_GENBASE_METHODS = {  # (method flag, residue flag) -> exit code and stdout of base 2, mod 2, class 1, k 3
+    (None, None): (0, '"method":"both","constructed":7,"minimum":7}\n'),
+    ("construct", None): (0, '"method":"construct","constructed":7}\n'),
+    ("oracle", None): (0, '"method":"oracle","minimum":7}\n'),
+    ("both", None): (0, '"method":"both","constructed":7,"minimum":7}\n'),
+    (None, "0"): (0, '"method":"construct","constructed":84}\n'),
+    ("construct", "0"): (0, '"method":"construct","constructed":84}\n'),
+    ("oracle", "0"): (2, ""),
+    ("both", "0"): (2, ""),
+}
+
+
+@pytest.mark.parametrize("method, residue", list(_GENBASE_METHODS))
+def test_genbase_method_and_residue(capsys, method, residue):
+    flags = [*(["--method", method] if method else []), *(["--residue", residue] if residue else [])]
+    code, tail = _GENBASE_METHODS[method, residue]
+    refused = "error: a pinned residue supports --method construct only\n"
+    expected = (0, f'{{"base":2,"mod":2,"class":1,"k":3,"residue":{residue or "null"},' + tail, "")
+    assert invoke(capsys, "genbase", "--base", "2", "--mod", "2", "--class", "1", "--k", "3", *flags) == (
+        expected if code == 0 else (2, "", refused)
+    )
+    # base 3 breaks the gcd rule as well: a method the residue refuses is named first
+    bad = invoke(capsys, "genbase", "--base", "3", "--mod", "2", "--class", "1", "--k", "5", *flags)
+    if code:
+        assert bad == (2, "", refused)
+    else:
+        assert bad[:2] == (2, "") and "gcd(base-1, modulus)" in bad[2]
 
 
 def test_genbase_gcd_violation_is_usage_error(capsys):

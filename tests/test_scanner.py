@@ -220,7 +220,7 @@ def test_worker_that_dies_fails_the_scan(monkeypatch, small_tasks):
     signal.alarm(20)
     started = time.monotonic()
     try:
-        with pytest.raises(RuntimeError, match="ended without the result of task 3"):
+        with pytest.raises(ChildProcessError, match="ended without the result of task 3"):
             scan_theorem(1, 300, jobs=2)
     finally:
         signal.alarm(0)

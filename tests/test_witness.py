@@ -426,8 +426,17 @@ def test_construct_missing_parameter():
         construct_candidates(11, CaseLabel.Lemma2_rLtU, {"length": 4})
 
 
-def test_construct_has_one_arm_per_case():
-    assert _ARMS.keys() == CaseLabel.__members__.keys()
+def test_case_list_is_pinned():
+    # names, order and values are in every certificate, pickle and scan byte
+    names = [
+        "AllOnesOddLen", "AllOnesEvenLen", "Lemma1",
+        "Lemma2_rLtU", "Lemma2_rGtU", "Lemma2_Palindrome", "Lemma2_vOdd", "Lemma2_vEven_uGe4",
+        "Lemma2_u2_U4_1101", "Lemma2_u2_U5_11000", "Lemma2_u2_U5_11001",
+        "Lemma3_rLtU", "Lemma3_rGtU", "Lemma4",
+        "Lemma5_tSmall", "Lemma5_tEq_u_s_eq", "Lemma5_tEq_u_s_big", "Lemma5_tGtU_gap",
+        "Lemma6_tSmall", "Lemma6_tEqU_U2u", "Lemma6_tEqU_U2u1_one", "Lemma6_tEqU_U2u1_zero", "Lemma6_tGtU",
+    ]
+    assert [(case.name, case.value) for case in CaseLabel] == list(zip(names, range(1, 24)))
 
 
 def test_word_shape_has_a_display_or_none_per_case():
