@@ -5,14 +5,15 @@ scans), with CSV reserved for bulk scan output via --csv. Integers larger
 than 2^53 - 1 are rendered as decimal strings so double-precision JSON
 consumers are never silently corrupted; parsers here accept both forms.
 
-Exit codes: 0 success, 1 I/O error, 2 usage error, 3 theorem-violation abort.
+Exit codes: 0 success, 1 I/O error, 2 usage error, 3 theorem-violation abort. An
+interrupt prints one stderr line and ends the process by SIGINT.
 """
 
 import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from collections.abc import Sequence
 
 # each command imports the sibling modules it runs, so `tm 5` loads neither the oracles nor the scan
 from .digitcore import TheoremViolationError, reduce_to_odd, sum_digits, thue_morse
@@ -324,4 +325,17 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """run() on the command line's arguments, exiting with its code; an interrupt prints one line."""
+    try:
+        sys.exit(run(sys.argv[1:]))
+    except KeyboardInterrupt:
+        pass  # leaving the handler frees the traceback, so a scan's generators close and reap their workers
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_DFL)  # a second interrupt ends the process at once
+    try:
+        sys.stdout.flush()  # the rows already written, as a normal exit would
+    except OSError:
+        pass
+    print("interrupted", file=sys.stderr)
+    os.kill(os.getpid(), signal.SIGINT)  # death by SIGINT, as a shell expects of an interrupted command

@@ -11,7 +11,7 @@ word transparently.
 """
 
 import itertools
-from typing import NamedTuple
+from collections import namedtuple
 
 __all__ = [
     "TheoremViolationError",
@@ -99,16 +99,17 @@ def upper_slice(k: int, j: int) -> str:
     return word[:j]
 
 
-class RunDecomposition(NamedTuple):
+class RunDecomposition(namedtuple("RunDecomposition", "runs")):
     """Maximal runs of equal bits of an odd integer's word, leading run first.
 
-    The word of an odd integer starts and ends with a ones-run, so the run
-    widths alternate ones, zeros, ones, ... across an odd number of entries.
-    Accessors name the runs by position; asking for a run the word does not
-    have raises ValueError rather than returning a default.
+    runs is a tuple of widths. The word of an odd integer starts and ends
+    with a ones-run, so the run widths alternate ones, zeros, ones, ...
+    across an odd number of entries. Accessors name the runs by position;
+    asking for a run the word does not have raises ValueError rather than
+    returning a default.
     """
 
-    runs: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def length(self) -> int:

@@ -8,7 +8,7 @@ explicit size bounds and are re-verified on every call.
 """
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import oracle
 from .digitcore import TheoremViolationError, sum_digits
@@ -22,23 +22,15 @@ __all__ = [
 ]
 
 
-# GenBaseQuery's fields, apart, as a NamedTuple class body may not define __new__
-class _QueryFields(NamedTuple):
-    base: int
-    modulus: int
-    digit_class: int
-    k: int
-    residue: int | None = None
-
-
-class GenBaseQuery(_QueryFields):
+class GenBaseQuery(namedtuple("GenBaseQuery", "base modulus digit_class k residue", defaults=(None,))):
     """One instance of the digit-class problem.
 
-    digit_class is normalized into [0, modulus) at construction. Queries with
-    gcd(base-1, modulus) != 1 are rejected outright: digit sums of multiples
-    then miss entire residue classes, so neither the constructions nor any
-    search-termination bound apply. Construction validates, by position or
-    by keyword; _make and _replace build the tuple as given, unchecked.
+    residue is None unless pinned. digit_class is normalized into [0, modulus)
+    at construction. Queries with gcd(base-1, modulus) != 1 are rejected
+    outright: digit sums of multiples then miss entire residue classes, so
+    neither the constructions nor any search-termination bound apply.
+    Construction validates, by position or by keyword; _make and _replace
+    build the tuple as given, unchecked.
     """
 
     __slots__ = ()
@@ -57,22 +49,13 @@ class GenBaseQuery(_QueryFields):
         return super().__new__(cls, base, modulus, digit_class % modulus, k, residue)
 
 
-class ConjectureReport(NamedTuple):
-    """Worst observed gap between the least digit-class witness and k over a range.
+ConjectureReport = namedtuple("ConjectureReport", "base modulus digit_class k_max worst_k worst_gap bound violated")
+ConjectureReport.__doc__ = """Worst observed gap between the least digit-class witness and k over a range.
 
-    bound is base^(modulus + digit_class) with the class already normalized;
-    violated records the comparison and nothing more, since the bound is a
-    conjecture, not a theorem.
-    """
-
-    base: int
-    modulus: int
-    digit_class: int
-    k_max: int
-    worst_k: int
-    worst_gap: int
-    bound: int
-    violated: bool
+bound is base^(modulus + digit_class) with the class already normalized;
+violated records the comparison and nothing more, since the bound is a
+conjecture, not a theorem.
+"""
 
 
 def _scale_exponent(query: GenBaseQuery) -> int:

@@ -9,14 +9,11 @@ this module, never the other way around.
 """
 
 import math
+from collections.abc import Sequence
 from itertools import compress
 from operator import not_
-from typing import TYPE_CHECKING, Sequence
 
 from .digitcore import TheoremViolationError, reduce_to_odd, thue_morse
-
-if TYPE_CHECKING:
-    from .genbase import GenBaseQuery
 
 __all__ = [
     "f_exact",

@@ -12,11 +12,12 @@ offender.
 import os
 from array import array
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import suppress
 from functools import reduce
 from itertools import chain, compress, islice, repeat, starmap
 from operator import ge, gt, sub, xor
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from . import oracle
 from .digitcore import TheoremViolationError, reduce_to_odd
@@ -33,36 +34,16 @@ __all__ = [
     "THEOREM_HEADER",
 ]
 
-class ScanRecord(NamedTuple):
-    """Per-k verification row: least witness, its gap over k, case by name, and sorted flags."""
-
-    k: int
-    f: int
-    gap: int
-    case: str
-    witness: int
-    witness_weight: int
-    zero_min: int
-    flags: tuple[str, ...]
-
+ScanRecord = namedtuple("ScanRecord", "k f gap case witness witness_weight zero_min flags")
+ScanRecord.__doc__ = "Per-k verification row: least witness, its gap over k, case by name, and sorted flags, a tuple."
 
 THEOREM_HEADER = ScanRecord._fields
 
+WeightFamilyRecord = namedtuple("WeightFamilyRecord", "exponent k counterexample")
+WeightFamilyRecord.__doc__ = "Sparse-multiplier sweep result for k = 3 * 2^exponent + 3; counterexample may be None."
 
-class WeightFamilyRecord(NamedTuple):
-    """Sparse-multiplier sweep result for one member k = 3 * 2^exponent + 3."""
-
-    exponent: int
-    k: int
-    counterexample: int | None
-
-
-class FrequencyRecord(NamedTuple):
-    """Exact fraction of multipliers up to sample_count whose product has odd weight."""
-
-    k: int
-    sample_count: int
-    ones_frequency: "Fraction"  # fractions loads with frequency, not with the package
+FrequencyRecord = namedtuple("FrequencyRecord", "k sample_count ones_frequency")
+FrequencyRecord.__doc__ = "Exact fraction, a Fraction, of multipliers up to sample_count whose product has odd weight."
 
 
 _CASE_NAMES = {case.value: case.name for case in CaseLabel}
@@ -202,7 +183,7 @@ def _in_order(tasks: list[Sequence[int]], jobs: int) -> Iterator[tuple[list[int]
                 reader.close()
 
 
-def _work(tasks: list[Sequence[int]], readers: list, out) -> NoReturn:
+def _work(tasks: list[Sequence[int]], readers: list, out):
     """A forked worker: the results of tasks, or the exception that stops them, pickled to out; then exit.
 
     It closes the read ends it inherited, so a pipe's only reader is the

@@ -14,7 +14,7 @@ rather than trusted input.
 """
 
 import enum
-from typing import NamedTuple
+from collections import namedtuple
 
 from .digitcore import TheoremViolationError, reduce_to_odd, thue_morse, to_word
 
@@ -70,23 +70,17 @@ CaseLabel = enum.Enum("CaseLabel", list(_ARMS), module=__name__)
 CaseLabel.__doc__ = "Structural case of an odd multiplier; exactly one applies to every odd k."
 
 
-class WitnessCertificate(NamedTuple):
-    """Verified record that some candidate multiplier at most k_odd + 4 works.
+WitnessCertificate = namedtuple(
+    "WitnessCertificate", "k_input k_odd shift case params candidates triple_pivot verified_hit"
+)
+WitnessCertificate.__doc__ = """Verified record that some candidate multiplier at most k_odd + 4 works.
 
-    candidates are ascending. triple_pivot is the middle multiplier m of a
-    three-candidate guarantee and None when the single candidate is claimed
-    outright. verified_hit is the least candidate whose product was checked
-    to have odd weight.
-    """
-
-    k_input: int
-    k_odd: int
-    shift: int
-    case: CaseLabel
-    params: dict[str, int]
-    candidates: tuple[int, ...]
-    triple_pivot: int | None
-    verified_hit: int
+case is a CaseLabel and params classify's mapping of run widths. candidates
+are an ascending tuple. triple_pivot is the middle multiplier m of a
+three-candidate guarantee and None when the single candidate is claimed
+outright. verified_hit is the least candidate whose product was checked to
+have odd weight.
+"""
 
 
 # the members on a plain class: CaseLabel.X goes through EnumType.__getattr__ on Python

@@ -3,8 +3,10 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -582,12 +584,16 @@ def test_argument_past_the_digit_limit_is_refused_briefly(capsys, argv):
     assert f"limited to {limit:,} digits" in err
 
 
-def fresh_process(*args):
-    """Run a fresh interpreter with args, importing the package under test."""
+def package_env() -> dict:
+    """The environment with the package under test first on PYTHONPATH."""
     source_root = str(Path(tmwitness.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source_root, inherited])))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60, env=env)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source_root, inherited])))
+
+
+def fresh_process(*args):
+    """Run a fresh interpreter with args, importing the package under test."""
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=60, env=package_env())
 
 
 def module_process(*argv):
@@ -652,6 +658,14 @@ def test_imports_stay_lazy(tmp_path):
         assert {name.removeprefix("tmwitness.") for name in loaded if name.startswith("tmwitness.")} == ours, code
         assert present <= loaded, code
         assert not loaded & absent, code
+
+
+def test_no_entry_point_loads_typing(tmp_path):
+    # under -S, as site may load typing itself, through a .pth file
+    for code, *_ in _ENTRY_POINTS:
+        code = code.replace("{csv}", str(tmp_path / "scan.csv"))
+        done = fresh_process("-S", "-c", f"{code}\nimport sys\nprint('typing' in sys.modules)")
+        assert (done.returncode, done.stdout.splitlines()[-1:]) == (0, ["False"]), (code, done.stderr)
 
 
 def test_star_import_binds_the_public_names_alone():
@@ -731,6 +745,29 @@ def test_scan_csv_over_an_existing_file_in_a_fresh_process(tmp_path):
         "4,1,-3,AllOnesOddLen,1,1,3,\n5,5,0,Lemma1,5,2,1,GapEquals0\n6,7,1,AllOnesEvenLen,7,3,1,GapEquals1\n"
     )
     assert path.stat().st_mode & 0o777 == 0o640
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs process groups")
+def test_an_interrupted_scan_ends_in_one_line_and_dies_by_sigint(tmp_path):
+    # SIGINT to the scan's process group, as a terminal's Ctrl-C sends it, once a
+    # block of rows is in the temporary file, so the workers are running
+    path = tmp_path / "scan.csv"
+    path.write_bytes(b"earlier contents\n")
+    header = len(",".join(scanner.THEOREM_HEADER)) + 1
+    argv = [sys.executable, "-m", "tmwitness", "scan", "--from", "1", "--to", "4194304", "--jobs", "2", "--csv", path]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=package_env(),
+                          start_new_session=True) as scan:
+        deadline = time.monotonic() + 60
+        while not any(file.suffix == ".tmp" and file.stat().st_size > header for file in tmp_path.iterdir()):
+            assert scan.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(scan.pid, signal.SIGINT)
+        out, err = scan.communicate(timeout=60)
+    assert (scan.returncode, out, err) == (-signal.SIGINT, "", "interrupted\n")
+    assert path.read_bytes() == b"earlier contents\n"
+    assert [file.name for file in tmp_path.iterdir()] == ["scan.csv"]
+    with pytest.raises(ProcessLookupError):  # no worker is left in the scan's process group
+        os.killpg(scan.pid, 0)
 
 
 # the package's public names: its five modules' __all__ and cli's four

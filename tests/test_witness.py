@@ -406,6 +406,32 @@ def test_records_are_immutable_and_pickle(make, field):
     assert pickle.loads(pickle.dumps(record)) == record
 
 
+# each record's fields in order: a certificate's order is its JSON's, a scan row's
+# its CSV columns', and the CLI's conjecture payload takes its key order from _asdict
+FIELDS = {
+    "certificate": ("k_input", "k_odd", "shift", "case", "params", "candidates", "triple_pivot", "verified_hit"),
+    "scan": ("k", "f", "gap", "case", "witness", "witness_weight", "zero_min", "flags"),
+    "frequency": ("k", "sample_count", "ones_frequency"),
+    "weight_family": ("exponent", "k", "counterexample"),
+    "conjecture": ("base", "modulus", "digit_class", "k_max", "worst_k", "worst_gap", "bound", "violated"),
+    "run_decomposition": ("runs",),
+    "genbase_query": ("base", "modulus", "digit_class", "k", "residue"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_fields_are_pinned(name):
+    record, fields = RECORDS[name][0](), FIELDS[name]
+    kind, values = type(record), tuple(record)
+    assert kind._fields == fields
+    assert record == values and tuple(getattr(record, field) for field in fields) == values
+    made = kind._make(values)
+    assert (type(made), made) == (kind, record)
+    assert list(record._asdict().items()) == list(zip(fields, values))
+    changed = record._replace(**{fields[-1]: "changed"})
+    assert (type(changed), changed) == (kind, (*values[:-1], "changed"))
+
+
 def test_serialize_raises_past_the_int_to_str_limit():
     # CPython converts at most 4,300 digits by default; 15,000 bits are 4,516
     cert = certify((1 << 15000) - 3)
