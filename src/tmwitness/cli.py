@@ -208,10 +208,11 @@ def _run_f(args) -> int:
         certificate = witness.certify(args.k)
         value, case = certificate.verified_hit, certificate.case
     else:
-        from . import scanner
+        from . import oracle
 
-        value, certificate = scanner.checked_least(args.k)
-        case = certificate.case
+        certificate = witness.certify(args.k)
+        value, case = oracle.f_exact(args.k), certificate.case
+        oracle._check_agreement(args.k, value, certificate.verified_hit)
     _emit({"k": args.k, "f": value, "gap": value - args.k, "case": case.name})
     return 0
 
@@ -236,10 +237,8 @@ def _run_genbase(args) -> int:
         payload["constructed"] = (genbase.corollary_construct if pinned else genbase.prop_construct)(query)
     if method != "construct":
         payload["minimum"] = oracle.g_min(query)
-    if method == "both" and payload["minimum"] > payload["constructed"]:
-        raise TheoremViolationError(
-            f"oracle minimum {payload['minimum']} exceeds constructed witness {payload['constructed']}"
-        )
+    if method == "both":
+        oracle._check_agreement(args.k, payload["minimum"], payload["constructed"])
     _emit(payload)
     return 0
 

@@ -5,7 +5,9 @@ value is the minimum by construction. Every walk over multipliers n skips
 the even n: an even n = 2m is never least, as s2(k * 2m) = s2(k * m), so
 the least n of either parity of s2(k * n) is odd. min_weight_witness also
 walks only below a proven bound. The witness machinery is tested against
-this module, never the other way around.
+this module, never the other way around: every path that runs both, the
+scan, `f` and `genbase`, holds the construction to it through
+_check_agreement here.
 """
 
 import math
@@ -71,6 +73,12 @@ def _walk(k: int, parity: int, limit: int, start: int = 1) -> int:
     if parity:
         raise TheoremViolationError(f"no multiplier up to {limit} works for k={k}")
     raise TheoremViolationError(f"no even-weight multiple of k={k} up to n={limit}")
+
+
+def _check_agreement(k: int, least: int, constructed: int) -> None:
+    """Raise unless the oracle's least n is at most the constructed witness."""
+    if least > constructed:
+        raise TheoremViolationError(f"oracle and construction disagree at k={k}: {least} vs {constructed}")
 
 
 def f_exact(k: int) -> int:

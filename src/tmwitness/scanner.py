@@ -21,7 +21,8 @@ from operator import ge, gt, sub, xor
 
 from . import oracle
 from .digitcore import TheoremViolationError, reduce_to_odd
-from .witness import CaseLabel, WitnessCertificate, certify, verify
+from .oracle import _check_agreement
+from .witness import CaseLabel, verify
 
 __all__ = [
     "ScanRecord",
@@ -70,20 +71,6 @@ def _family_gaps(k_max: int) -> dict[int, int]:
     gaps.update(((1 << r) + 1, 0) for r in range(2, k_max.bit_length()))
     gaps.update(((1 << 2 * r) - 1, 4) for r in range(1, k_max.bit_length() // 2 + 1))
     return {k: gap for k, gap in gaps.items() if k <= k_max}
-
-
-def _check_agreement(k: int, least: int, hit: int) -> None:
-    """Raise unless the oracle's least n is at most the construction's hit."""
-    if least > hit:
-        raise TheoremViolationError(f"oracle and construction disagree at k={k}: {least} vs {hit}")
-
-
-def checked_least(k: int) -> tuple[int, WitnessCertificate]:
-    """f(k) by the oracle and k's certificate, once f(k) <= verified hit <= k_odd + 4 holds."""
-    certificate = certify(k)
-    least = oracle.f_exact(k)
-    _check_agreement(k, least, certificate.verified_hit)
-    return least, certificate
 
 
 def _core_results(cores: Sequence[int]) -> tuple[list[int], list[int], list[int]]:

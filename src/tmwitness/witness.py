@@ -289,12 +289,6 @@ _DISPLAYS = {
     ),
     "Lemma6_tGtU": lambda p, word: "1" + "0" * (p["tail_ones"] - 1) + "1" * (p["tail_ones"] - 1) + "01",
 }
-# the two displays that reach below the shift b: (params, width of the lower word) -> how
-# many of the lower word's bits stay under the display
-_KEEPS = {
-    "Lemma4": lambda p, low: low - p["lead_zeros"] - p["tail_ones"] - 1,
-    "Lemma6_tEqU_U2u1_zero": lambda p, low: low - 2 * p["tail_ones"],
-}
 _SHAPELESS = tuple(case for case in CaseLabel if case._name_ not in _DISPLAYS)
 
 
@@ -302,35 +296,32 @@ def word_shape(k_odd: int, case: CaseLabel, params: dict[str, int]) -> str:
     """Predicted binary word of k times the constructed candidate, spliced around its display.
 
     With n the last candidate and m its pivot (1 for a single candidate),
-    k*n is one product shifted by b over another: for n = m*2^b + 1 the
-    upper word is k*m's and the lower is k's, and for n = 2^(w - 1) + m,
-    with w the width of k and b = w - 1, the upper is k's and the lower
-    k*m's. The shape is
+    k*n is k*m shifted by b over k, for n = m*2^b + 1, or k shifted by w - 1
+    over k*m, for n = 2^(w - 1) + m with m > 1 and w the width of k. With
+    display the case's carry region as the paper writes it out, and word and
+    product the words of k and k*m, the shape is
 
-        upper[:len(upper) + b - keep - len(display)] + display + lower[len(lower) - keep:]
+        product[:len(product) - len(display)] + display + word[len(word) - b:]
+        word[:2*len(word) - 2 - len(product)] + display + product[len(display) - 1:]
 
-    where display is the case's carry region as the paper writes it out and
-    keep is b, so the display takes the place of the upper word's lowest
-    bits. Lemma4 and Lemma6_tEqU_U2u1_zero keep fewer, len(k*m) -
-    lead_zeros - tail_ones - 1 and len(k*m) - 2*tail_ones, because their
-    displays reach below the shift. Cases without a display raise
-    UnsupportedCaseError; what construct_candidates refuses raises its
-    ValueError, and then a case and params not classify(k_odd)'s raise one.
+    respectively: the display takes the place of k*m's lowest bits in the
+    first, and it ends one bit above k*m's top in the second. Cases without a
+    display raise UnsupportedCaseError; what construct_candidates refuses
+    raises its ValueError, and then a case and params not classify(k_odd)'s
+    raise one.
     """
     if case in _SHAPELESS:
         raise UnsupportedCaseError(f"no displayed product decomposition for {case.name}")
     candidates, pivot = construct_candidates(k_odd, case, params)
     final, multiple = candidates[-1], pivot or 1
     word, product = to_word(k_odd), to_word(k_odd * multiple)
-    if final - multiple == 1 << params["length"] - 1:  # n = 2^(w - 1) + m
-        upper, lower, shift = word, product, params["length"] - 1
-    else:  # n = m * 2^b + 1
-        upper, lower, shift = product, word, ((final - 1) // multiple).bit_length() - 1
     try:
         display = _DISPLAYS[case._name_](params, word)
-        keep = _KEEPS[case._name_](params, len(lower)) if case._name_ in _KEEPS else shift
     except KeyError as missing:
         raise ValueError(f"case {case.name} needs parameter {missing}") from None
     if (case, params) != classify(k_odd):
         raise ValueError(f"{case.name} with {params} is not the classification of k_odd={k_odd}")
-    return upper[:len(upper) + shift - keep - len(display)] + display + lower[len(lower) - keep:]
+    if pivot and final - pivot == 1 << params["length"] - 1:  # n = 2^(w - 1) + m
+        return word[:2 * len(word) - 2 - len(product)] + display + product[len(display) - 1:]
+    shift = ((final - 1) // multiple).bit_length() - 1  # n = m * 2^b + 1
+    return product[:len(product) - len(display)] + display + word[len(word) - shift:]

@@ -468,10 +468,11 @@ def test_genbase_broken_construction_exits_3(capsys, monkeypatch, extra):
 
 
 def test_genbase_violation_exit_code(capsys, monkeypatch):
+    # the construction gives 7 for k = 3, so a minimum of 10^9 lies above it
     monkeypatch.setattr("tmwitness.oracle.g_min", lambda query: 10**9)
-    code, _, err = invoke(capsys, "genbase", "--base", "2", "--mod", "2", "--class", "1", "--k", "3")
-    assert code == 3
-    assert "theorem violation" in err
+    code, out, err = invoke(capsys, "genbase", "--base", "2", "--mod", "2", "--class", "1", "--k", "3")
+    assert (code, out) == (3, "")
+    assert err == "theorem violation: oracle and construction disagree at k=3: 1000000000 vs 7\n"
 
 
 def test_conjecture(capsys):
@@ -486,7 +487,7 @@ def test_conjecture(capsys):
 
 def test_f_both_violation_exit_code(capsys, monkeypatch):
     # f(1) = 1, so an oracle answer of 4 lies above the certificate's hit
-    monkeypatch.setattr("tmwitness.scanner.oracle.f_exact", lambda k: k + 3)
+    monkeypatch.setattr("tmwitness.oracle.f_exact", lambda k: k + 3)
     code, out, err = invoke(capsys, "f", "1", "--method", "both")
     assert (code, out) == (3, "")
     assert "oracle and construction disagree at k=1" in err
@@ -645,6 +646,8 @@ _ENTRY_POINTS = [
     ),
     (_run("tm", "5"), {"cli", "digitcore"}, set(), {"fractions", *_POOL}),
     (_run("witness", "51"), {"cli", "digitcore", "witness"}, set(), _POOL),
+    # --method both holds the oracle to the certificate without the scan
+    (_run("f", "51"), {"cli", "digitcore", "witness", "oracle"}, set(), _POOL),
     # 1..5000 is three tasks, which forked workers run, so it loads no pool either
     (_run("scan", "--from", "1", "--to", "5000", "--jobs", "2", "--csv", "{csv}"), _SCAN_MODULES, set(),
      {"fractions", *_POOL}),

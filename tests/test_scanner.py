@@ -342,6 +342,30 @@ def test_every_family_member_through_2_to_64_has_its_proven_gap():
     assert {k: _proven_gap(k) for k in gaps} == gaps
 
 
+def test_both_families_have_their_gaps_for_every_r():
+    # the steps of _proven_gap as functions of r. For k = 4^r - 1 and every
+    # 1 <= n < 4^r, k*n = n*2^(2r) - n meets the identity's precondition, so
+    # its weight is s2(n - 1) + 2r - s2(n - 1) = 2r; for k = 2^r + 1 and every
+    # n < 2^r, k*n is two copies of n. Both are checked n by n for small r
+    for r in range(1, 6):
+        k = (1 << 2 * r) - 1
+        for n in range(1, 1 << 2 * r):
+            assert shifted_difference_digit_sum(n, 2 * r, n) == 2 * r == (k * n).bit_count()
+    for r in range(2, 11):
+        k = (1 << r) + 1
+        assert all((k * n).bit_count() == 2 * n.bit_count() for n in range(1 << r))
+    # the closing products, which no n-by-n check reaches past small r
+    for r in range(1, 10**4 + 1):
+        four, k = 1 << 2 * r, (1 << 2 * r) - 1
+        assert k * (four + 1) == (1 << 4 * r) - 1  # weight 4r, even
+        # n = 4^r is k shifted, and n = 4^r + 2 has the even weight of its half, which is below 4^r
+        assert four + 2 == 2 * ((1 << 2 * r - 1) + 1)
+        # k*(4^r + 3) = (4^r + 2)*2^(2r) - 3, odd: so f(4^r - 1) = 4^r + 3 = k + 4
+        assert shifted_difference_digit_sum(four + 2, 2 * r, 3) == (k * (four + 3)).bit_count() == 2 * r + 1
+        if r >= 2:  # (2^r + 1)^2 = 2^(2r) + 2^(r+1) + 1, odd: so f(2^r + 1) = k
+            assert (((1 << r) + 1) ** 2).bit_count() == 3
+
+
 @pytest.mark.parametrize("k", [195, 390])
 def test_heavy_least_witness_is_logged(caplog, k):
     # f(195) = 23 = 0b10111, and 390 has 195's f
