@@ -315,44 +315,19 @@ def scan_weight_family(exponent_min: int, exponent_max: int, bit_limit: int) -> 
 _BLOCK_LOG = 16
 
 
-def _add_to_lanes(planes: list[int], bits: str, full: int) -> None:
-    """Add k to every lane, where bits holds k's binary digits, least significant first.
-
-    planes[j] holds bit j of every lane's value and full has one set bit per
-    lane. This is a ripple-carry adder run on all lanes at once; a carry out
-    of the top plane is dropped, so lanes count modulo 2^len(planes).
-    """
-    carry = 0
-    index = 0
-    for bit in bits:
-        if index == len(planes):
-            return
-        plane = planes[index]
-        if bit == "1":
-            planes[index] = plane ^ carry ^ full
-            carry |= plane
-        else:
-            planes[index] = plane ^ carry
-            carry &= plane
-        index += 1
-    while carry and index < len(planes):
-        plane = planes[index]
-        planes[index] = plane ^ carry
-        carry &= plane
-        index += 1
-
-
-def _first_block(bits: str, lanes_log: int, width: int) -> tuple[int, list[int]]:
+def _first_block(bits: str, lanes_log: int) -> tuple[int, list[int]]:
     """The first block of frequency: bit planes of k*i for the lanes i < 2^lanes_log.
 
-    Each doubling adds k*2^level to the lower half of the lanes, plane by
-    plane with a ripple carry, and splices the sum above it in place; a carry
-    out of the top plane is dropped. The addend has no bits below level, so
-    plane level is final once doubled: it is folded into the XOR of the planes
-    below it, all that later blocks read of them. Products stay below
-    2^(level+1+w) for a w-bit k, so no plane above that is touched. Returns
-    the XOR of planes 0..lanes_log-1 and the planes from lanes_log up.
+    bits holds k's w binary digits, least significant first. Each doubling
+    adds k*2^level to the lower half of the lanes, plane by plane with a
+    ripple carry, and splices the sum above it in place. The addend has no
+    bits below level, so plane level is final once doubled: it is folded into
+    the XOR of the planes below it, all that later blocks read of them.
+    Products stay below 2^(level+1+w), so the w + lanes_log planes hold every
+    lane's product and no carry is dropped. Returns the XOR of planes
+    0..lanes_log-1 and the w planes from lanes_log up.
     """
+    width = len(bits) + lanes_log
     planes = [0] * width
     fixed = 0
     for level in range(lanes_log):
@@ -375,44 +350,56 @@ def frequency(k: int, sample_count: int) -> FrequencyRecord:
     """Exact rational frequency of odd product weight over multipliers 1..sample_count.
 
     The count is bit-sliced. The multipliers n = 0..sample_count go in blocks
-    of 2^L consecutive lanes, and planes[j] is one int that holds bit j of k*n
-    for every lane of the block. The weight parity of each product is then
-    the XOR of the planes, so one bit_count counts a whole block, and the next
-    block is this one plus k*2^L, added in every lane at once; the planes
-    below that addend's lowest bit never change. The first block is built by
-    doubling its lanes (see _first_block), at about the cost of four later
-    blocks, and each later block pays a fixed cost per plane, so L is sized
-    from sample_count alone: 2^L is about a quarter of the lanes, at most
-    2^16, which timed close to the fastest L for every N from 10^3 to 10^6.
-    k's factor of two is dropped first, as s2(2m) = s2(m), and n = 0 has
-    weight 0 and adds nothing.
+    of 2^L consecutive lanes, and planes[j] is one int that holds bit j of k*i
+    for every lane i < 2^L of the first block, so the XOR of the planes holds
+    each product's weight parity and one bit_count counts the block. The first
+    block is built by doubling its lanes (see _first_block) and never written
+    again. Lane i of block q holds n = q*2^L + i, and k*n = k*i + a*2^L with
+    a = q*k, so by Kummer's theorem, s2(x + y) = s2(x) + s2(y) - c(x, y) with
+    c the number of carries, t(k*n) = t(k*i) ^ t(a) ^ (c mod 2). A later
+    block runs one carry word up the planes from plane L, as a ripple adder
+    would, and XORs each carry into an accumulator; past the top plane k*i has
+    no bits, so the carry goes on only through a's trailing ones there. That
+    costs two big-int operations per plane. Each block pays that fixed cost
+    per plane, and the first about that of four or five blocks, so L is sized
+    from sample_count alone: 2^L is about a quarter of the lanes, at most 2^16,
+    which timed close to the fastest L for every N from 10^3 to 10^6. k's
+    factor of two is dropped first, as s2(2m) = s2(m), and n = 0 has weight 0
+    and adds nothing.
 
-    Invariant: there are width = (k*sample_count).bit_length() planes, so
-    k*n < 2^width for every n <= sample_count and no counted lane loses a
-    carry. Carries out of the top plane are lost only in lanes past
-    sample_count, which the last block masks off. Because each plane is its
-    own int, bits of one product never reach another's, so the width need
-    not be a power of two, as it would in a layout that set the products side
-    by side in fixed-width fields and folded each field to its parity.
+    Invariant: k*i < k*2^L < 2^(w+L) for the w-bit odd part of k, so the
+    w + L planes hold every lane's product and no carry is dropped; the
+    planes are read-only after the first block, and every later product's
+    bits above them come from a alone. The last block is masked to the lanes
+    up to sample_count. Because each plane is its own int, bits of one
+    product never reach another's, so the width need not be a power of two,
+    as it would in a layout that set the products side by side in fixed-width
+    fields and folded each field to its parity.
     """
     from fractions import Fraction
 
     odd, _ = reduce_to_odd(k)
     if sample_count < 1:
         raise ValueError("need at least one sample")
-    bits = format(odd, "b")[::-1]
     lanes_log = min(_BLOCK_LOG, max(1, sample_count.bit_length() - 2))
-    fixed, moving = _first_block(bits, lanes_log, (odd * sample_count).bit_length())
-    full = (1 << (1 << lanes_log)) - 1
-    blocks, rest = divmod(sample_count + 1, 1 << lanes_log)  # blocks >= 1, as 2^L <= sample_count + 1
-    hits = 0
-    for block in range(blocks):
-        if block:  # so no add follows the last block, where nothing would read it
-            _add_to_lanes(moving, bits, full)
-        hits += reduce(xor, moving, fixed).bit_count()
-    if rest:
-        _add_to_lanes(moving, bits, full)
-        hits += (reduce(xor, moving, fixed) & ((1 << rest) - 1)).bit_count()
+    fixed, planes = _first_block(format(odd, "b")[::-1], lanes_log)
+    first = reduce(xor, planes, fixed)  # t(k*i) in lane i
+    hits = first.bit_count()
+    size = 1 << lanes_log
+    for start in range(size, sample_count + 1, size):
+        addend = start // size * odd
+        carry, parity = 0, first
+        for plane, bit in zip(planes, format(addend, "b")[::-1]):
+            carry = plane | carry if bit == "1" else plane & carry
+            parity ^= carry
+        above = addend >> len(planes)
+        if (above ^ above + 1).bit_length() % 2 == 0:  # an odd run of trailing ones
+            parity ^= carry
+        lanes = min(size, sample_count + 1 - start)
+        if lanes < size:  # the last block, masked to the lanes up to sample_count
+            parity &= (1 << lanes) - 1
+        odd_lanes = parity.bit_count()
+        hits += lanes - odd_lanes if addend.bit_count() % 2 else odd_lanes
     return FrequencyRecord(k, sample_count, Fraction(hits, sample_count))
 
 
