@@ -10,6 +10,7 @@ interrupt prints one stderr line and ends the process by SIGINT.
 """
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -326,7 +327,10 @@ def run(argv: Sequence[str] | None = None) -> int:
 def main() -> None:
     """run() on the command line's arguments, exiting with its code; an interrupt prints one line."""
     try:
-        sys.exit(run(sys.argv[1:]))
+        code = run(sys.argv[1:])
+        # the objects left are freed with the process, so the collection at exit need not walk them
+        gc.freeze()
+        sys.exit(code)
     except KeyboardInterrupt:
         pass  # leaving the handler frees the traceback, so a scan's generators close and reap their workers
     import signal

@@ -2,8 +2,9 @@
 
 Provides the odd-core reduction, digit sums in any base, the weight-parity
 indicator t(n), canonical MSB-first binary words with slicing, run-length
-decompositions of odd integers, and the subtraction identity for digit sums
-of shifted differences.
+decompositions of odd integers, the subtraction identity for digit sums
+of shifted differences, and the bit planes that give t(k*n) for a block of
+consecutive n at once.
 
 All functions are pure and exact at any magnitude: base-2 digit sums ride the
 interpreter's hardware-backed bit counting, which promotes past the machine
@@ -191,3 +192,56 @@ def shifted_difference_digit_sum(a: int, j: int, b: int) -> int:
     if j < 1 or not 1 <= b < (1 << j):
         raise ValueError(f"subtrahend must lie in [1, 2^{j})")
     return (a - 1).bit_count() + j - (b - 1).bit_count()
+
+
+def _first_block(bits: str, lanes_log: int) -> tuple[int, list[int]]:
+    """The first block of k's bit planes: bits of k*i for the lanes i < 2^lanes_log.
+
+    bits holds k's w binary digits, least significant first. Each doubling
+    adds k*2^level to the lower half of the lanes, plane by plane with a
+    ripple carry, and splices the sum above it in place. The addend has no
+    bits below level, so plane level is final once doubled: it is folded into
+    the XOR of the planes below it, all that later blocks read of them.
+    Products stay below 2^(level+1+w), so the w + lanes_log planes hold every
+    lane's product and no carry is dropped. Returns the XOR of planes
+    0..lanes_log-1 and the w planes from lanes_log up.
+    """
+    width = len(bits) + lanes_log
+    planes = [0] * width
+    fixed = 0
+    for level in range(lanes_log):
+        size = 1 << level
+        full = (1 << size) - 1
+        carry = 0
+        for index, bit in zip(range(level, width), bits + "0"):
+            plane = planes[index]
+            if bit == "1":
+                planes[index] = plane | (plane ^ carry ^ full) << size
+                carry |= plane
+            else:
+                planes[index] = plane | (plane ^ carry) << size
+                carry &= plane
+        fixed = (fixed | fixed << size) ^ planes[level]
+    return fixed, planes[lanes_log:]
+
+
+def _carry_parities(first: int, planes: list[int], addend: int) -> int:
+    """A later block's lanes from the first block's: t(k*n) XOR t(addend) in lane i, n = q*2^L + i.
+
+    first holds t(k*i) in lane i, and planes are the w planes from L up that
+    _first_block returns; addend is a = q*k. k*n = k*i + a*2^L, so by Kummer's
+    theorem, s2(x + y) = s2(x) + s2(y) - c(x, y) with c the number of carries,
+    t(k*n) = t(k*i) ^ t(a) ^ (c mod 2). One carry word runs up the planes from
+    plane L, as a ripple adder would, and each carry is XORed into first; past
+    the top plane k*i has no bits, so the carry goes on only through a's
+    trailing ones there. That costs two big-int operations per plane, and no
+    plane is written.
+    """
+    carry, parity = 0, first
+    for plane, bit in zip(planes, format(addend, "b")[::-1]):
+        carry = plane | carry if bit == "1" else plane & carry
+        parity ^= carry
+    above = addend >> len(planes)
+    if (above ^ above + 1).bit_length() % 2 == 0:  # an odd run of trailing ones
+        parity ^= carry
+    return parity

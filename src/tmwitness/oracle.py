@@ -2,9 +2,10 @@
 
 Every search here walks candidates in strictly ascending order, so a returned
 value is the minimum by construction. Every walk over multipliers n skips
-the even n: an even n = 2m is never least, as s2(k * 2m) = s2(k * m), so
-the least n of either parity of s2(k * n) is odd. min_weight_witness also
-walks only below a proven bound. The witness machinery is tested against
+the even n, or, a block of n at a time, never meets one first: an even
+n = 2m is never least, as s2(k * 2m) = s2(k * m), so the least n of either
+parity of s2(k * n) is odd. min_weight_witness also walks only below a
+proven bound. The witness machinery is tested against
 this module, never the other way around: every path that runs both, the
 scan, `f` and `genbase`, holds the construction to it through
 _check_agreement here.
@@ -12,10 +13,11 @@ _check_agreement here.
 
 import math
 from collections.abc import Sequence
+from functools import reduce
 from itertools import compress
-from operator import not_
+from operator import not_, xor
 
-from .digitcore import TheoremViolationError, reduce_to_odd, thue_morse
+from .digitcore import TheoremViolationError, _carry_parities, _first_block, reduce_to_odd, thue_morse
 
 __all__ = [
     "f_exact",
@@ -44,26 +46,45 @@ def _zero_ceiling(k: int) -> int:
 _FEW_OPEN = 8
 
 
-# a walk stops at this n when its proven ceiling lies past it: 2^27 odd n, 11-12 s at
-# the 80-90 ns an odd n takes on a 2-core x86-64 box; the longest walk that anything
-# here runs, to 4^12 + 3, stays below 2^25, and f(2^61 + 1) would take millennia
+# a walk stops at this n when its proven ceiling lies past it: 2^16 blocks, which
+# f(2^61 + 1) and zero_min(2^61 - 1) walk in 0.4 and 1.2 s on a 2-core x86-64 box,
+# where one odd n at a time took 11-12 s; the longest walk that anything here runs,
+# to 4^13 + 3, stays below 2^27, and f(2^61 + 1) would take 2^33 times as long
 _WALK_BOUND = 1 << 28
+
+# a lone walk takes this many odd n one at a time, then blocks of 2^_WALK_LANES_LOG n.
+# The 403 lone walks of the scan of 1..2^16, 117,833 odd n one at a time, took
+# 10-12 ms; with 128, 256, 512, 1024 and 2048 odd n first, 3.1, 2.6, 2.5, 2.6 and
+# 3.1 ms, and over 1..2^20's 5970, with 256, 512 and 1024, 27, 27 and 36 ms against
+# 184 ms (best of 7, one process on a 2-core x86-64 box, Python 3.11). Building the
+# first block of 2^12 lanes for a 17-bit k costs as much as about 1000 odd n do
+_SCALAR_WALK = 512
+# 2^10, 2^11, 2^12, 2^13, 2^14 and 2^16 lanes took 2.6, 2.5, 2.5, 2.8, 3.2 and
+# 4.7 ms over those walks, and 27-46 ms over 1..2^20's, least at 2^12: more lanes
+# walk a long search faster (f(2^24 + 1) 39, 20, 10, 5.0, 2.7 and 0.8 ms), but every
+# walk past the scalar prefix pays for building a larger first block
+_WALK_LANES_LOG = 12
 
 
 def _walk(k: int, parity: int, limit: int, start: int = 1) -> int:
     """Least odd n in start..limit, start odd, whose product with k has the given weight parity.
 
-    Exhausting limit, a proven ceiling, is a contradiction and raises
-    TheoremViolationError. A walk that reaches _WALK_BOUND below its ceiling
-    stops there and raises ValueError.
+    No n below start may be such an n. The first _SCALAR_WALK odd n are
+    tried one by one, and the rest in blocks of 2^_WALK_LANES_LOG
+    consecutive n (see _block_walk). Exhausting limit, a proven ceiling, is a
+    contradiction and raises TheoremViolationError. A walk that reaches
+    _WALK_BOUND below its ceiling stops there and raises ValueError.
     """
     step = 2 * k
     product = k * (start - 2)
-    top = min(limit, _WALK_BOUND)
-    for n in range(start, top + 1, 2):
+    top, blocks = min(limit, _WALK_BOUND), start + 2 * _SCALAR_WALK
+    for n in range(start, min(top + 1, blocks), 2):
         product += step
         if product.bit_count() & 1 == parity:
             return n
+    hit = _block_walk(reduce_to_odd(k)[0], parity, blocks, top)
+    if hit:
+        return hit
     if limit > top:
         least, hint = ("f", "; `f --method constructive` gives a witness") if parity else ("zero_min", "")
         raise ValueError(
@@ -73,6 +94,36 @@ def _walk(k: int, parity: int, limit: int, start: int = 1) -> int:
     if parity:
         raise TheoremViolationError(f"no multiplier up to {limit} works for k={k}")
     raise TheoremViolationError(f"no even-weight multiple of k={k} up to n={limit}")
+
+
+def _block_walk(k: int, parity: int, low: int, high: int) -> int | None:
+    """Least n in low..high whose product with k has the given weight parity, or None; no n below low is one.
+
+    Lane i of block q is n = q*2^L + i, for L = _WALK_LANES_LOG, and the
+    block's word holds t(k*n) XOR t(q*k) in lane i (see
+    digitcore._carry_parities), so the lanes of the wanted parity are the word
+    or its complement, and the lowest of them at or above low is the least
+    hit. Even lanes do no harm: as s2(2m) = s2(m) and no n below low hits,
+    the least hit of either parity is odd.
+    """
+    if low > high:
+        return None
+    lanes_log = _WALK_LANES_LOG
+    full = (1 << (1 << lanes_log)) - 1
+    fixed, planes = _first_block(format(k, "b")[::-1], lanes_log)
+    first = reduce(xor, planes, fixed)  # t(k*i) in lane i
+    for block in range(low >> lanes_log, (high >> lanes_log) + 1):
+        addend = block * k
+        hits = _carry_parities(first, planes, addend)
+        if addend.bit_count() & 1 == parity:
+            hits ^= full
+        base = block << lanes_log
+        if base < low:
+            hits &= -1 << (low - base)
+        if hits:
+            least = base + (hits & -hits).bit_length() - 1
+            return least if least <= high else None
+    return None
 
 
 def _check_agreement(k: int, least: int, constructed: int) -> None:

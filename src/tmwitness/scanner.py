@@ -9,7 +9,9 @@ the proven characterization aborts the run loudly instead of skipping the
 offender.
 """
 
+import marshal
 import os
+import sys
 from array import array
 from bisect import bisect_left
 from collections import namedtuple
@@ -20,7 +22,7 @@ from itertools import chain, compress, islice, repeat, starmap
 from operator import ge, gt, sub, xor
 
 from . import oracle
-from .digitcore import TheoremViolationError, reduce_to_odd
+from .digitcore import TheoremViolationError, _carry_parities, _first_block, reduce_to_odd
 from .oracle import _check_agreement
 from .witness import CaseLabel, verify
 
@@ -119,23 +121,23 @@ def _chunks(cores: Sequence[int]) -> list[Sequence[int]]:
 def _in_order(tasks: list[Sequence[int]], jobs: int) -> Iterator[tuple[list[int], list[int], list[int]]]:
     """The core results of each task, in task order, from at most jobs forked worker processes.
 
-    Worker i runs tasks i, i + W, ... of W workers and pickles each result,
-    or the exception that stops it, to a pipe of its own. Reading task t from
-    pipe t mod W gives the results in task order, and a worker blocks once
-    its pipe's buffer is full, so how far it runs ahead is bounded whatever
-    the range and however far the consumer lags. A worker's exception is
-    raised here; a worker that ends without a result raises ChildProcessError,
-    an OSError. A lone task, or a platform without os.fork, runs in this
-    process, with the same results. However the scan stops, every worker is
-    killed and reaped and every pipe closed. A fork copies only the calling
-    thread, and a worker takes no lock that another thread could hold: it
-    verifies, walks the oracle and pickles, and logs nothing.
+    Worker i runs tasks i, i + W, ... of W workers and sends each result, or
+    the exception that stops it, as one frame (see _send) to a pipe of its
+    own. Reading task t from pipe t mod W gives the results in task order,
+    and a worker blocks once its pipe's buffer is full, so how far it runs
+    ahead is bounded whatever the range and however far the consumer lags. A
+    worker's exception is raised here; a worker that ends without a result
+    raises ChildProcessError, an OSError. A lone task, or a platform without
+    os.fork, runs in this process, with the same results. However the scan
+    stops, every worker is killed and reaped and every pipe closed. A fork
+    copies only the calling thread, and a worker takes no lock that another
+    thread could hold: it verifies, walks the oracle and marshals, and logs
+    nothing.
     """
     workers = min(jobs, len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
         yield from map(_core_results, tasks)
         return
-    import pickle  # loaded by a scan with workers, not by every start of the package
     import signal
 
     readers, pids = [], []
@@ -151,13 +153,15 @@ def _in_order(tasks: list[Sequence[int]], jobs: int) -> Iterator[tuple[list[int]
                     _work(tasks[worker::workers], readers, out)
         for task in range(len(tasks)):
             worker = task % workers
-            try:
-                result = pickle.load(readers[worker])
-            except (EOFError, pickle.UnpicklingError):
-                raise ChildProcessError(f"scan worker {pids[worker]} ended without the result of task {task}") from None
-            if isinstance(result, BaseException):
-                raise result
-            yield result
+            size = int.from_bytes(readers[worker].read(_FRAME_HEAD), "little", signed=True)
+            blob = readers[worker].read(abs(size))
+            if not size or len(blob) < abs(size):  # a header or body cut short by the worker's end
+                raise ChildProcessError(f"scan worker {pids[worker]} ended without the result of task {task}")
+            if size < 0:
+                import pickle
+
+                raise pickle.loads(blob)
+            yield marshal.loads(blob)
     finally:
         try:
             for pid in pids:  # gone already, or reaped by a host that ignores SIGCHLD
@@ -170,25 +174,36 @@ def _in_order(tasks: list[Sequence[int]], jobs: int) -> Iterator[tuple[list[int]
                 reader.close()
 
 
-def _work(tasks: list[Sequence[int]], readers: list, out):
-    """A forked worker: the results of tasks, or the exception that stops them, pickled to out; then exit.
+# a frame is its body's length in this many bytes, little-endian and signed, then the body
+_FRAME_HEAD = 8
 
-    It closes the read ends it inherited, so a pipe's only reader is the
+
+def _send(out, blob: bytes, failed: bool = False) -> None:
+    """One frame to out: a marshalled result, or with failed a pickled exception, its length negated."""
+    out.write((-len(blob) if failed else len(blob)).to_bytes(_FRAME_HEAD, "little", signed=True))
+    out.write(blob)
+    out.flush()
+
+
+def _work(tasks: list[Sequence[int]], readers: list, out):
+    """A forked worker: the results of tasks, or the exception that stops them, sent to out; then exit.
+
+    A result is three lists of ints, which marshal carries at a fraction of
+    pickle's start-up cost; pickle is loaded only for an exception. The
+    worker closes the read ends it inherited, so a pipe's only reader is the
     parent, and it leaves by os._exit, so nothing of the parent's, such as
     its buffered output or its exit handlers, runs twice.
     """
-    import pickle
-
     try:
         for reader in readers:
             reader.close()
         for task in tasks:
-            pickle.dump(_core_results(task), out)
-            out.flush()
+            _send(out, marshal.dumps(_core_results(task)))
     except BaseException as error:  # the parent raises it at this worker's next task
         with suppress(BaseException):
-            pickle.dump(error, out)
-            out.flush()
+            import pickle
+
+            _send(out, pickle.dumps(error), failed=True)
     finally:
         os._exit(0)
 
@@ -228,9 +243,9 @@ def _checked_blocks(k_min: int, k_max: int, below: Sequence[int], before: int, r
     whole block at C speed, with max() or compress(), so only the few k that
     break it or get a flag cost a Python step.
     """
-    import logging  # loaded by a scan, not by every start of the package
-
-    log = logging.getLogger(__name__)
+    # an INFO record needs a level or handler set up through logging, so without it loaded none is made
+    logging = sys.modules.get("logging")
+    log = logging.getLogger(__name__) if logging else None
     fs, cases, zeros = _column(k_max // 2 + 4), bytearray(), _column(k_max + 1)
     for result in islice(results, before):
         for column, values in zip((fs, cases, zeros), result):
@@ -272,7 +287,7 @@ def _checked_blocks(k_min: int, k_max: int, below: Sequence[int], before: int, r
         if max(zero_mins) > lo + 2:
             for k in compress(ks, map(gt, zero_mins, range(lo + 2, hi + 3))):
                 flags[k - lo] += ("ZeroMinExceedsKplus2",)  # sorts after every gap flag
-        for k in compress(ks, map(gt, weights, repeat(3))):
+        for k in compress(ks, map(gt, weights, repeat(3))) if log else ():
             # a sparse witness no larger than k+4 still exists; the minimum just is not it
             log.info("least witness for k=%d is %d with weight %d", k, leasts[k - lo], weights[k - lo])
         yield ks, leasts, gaps, list(map(_CASE_NAMES.__getitem__, kinds)), leasts, weights, zero_mins, flags
@@ -315,37 +330,6 @@ def scan_weight_family(exponent_min: int, exponent_max: int, bit_limit: int) -> 
 _BLOCK_LOG = 16
 
 
-def _first_block(bits: str, lanes_log: int) -> tuple[int, list[int]]:
-    """The first block of frequency: bit planes of k*i for the lanes i < 2^lanes_log.
-
-    bits holds k's w binary digits, least significant first. Each doubling
-    adds k*2^level to the lower half of the lanes, plane by plane with a
-    ripple carry, and splices the sum above it in place. The addend has no
-    bits below level, so plane level is final once doubled: it is folded into
-    the XOR of the planes below it, all that later blocks read of them.
-    Products stay below 2^(level+1+w), so the w + lanes_log planes hold every
-    lane's product and no carry is dropped. Returns the XOR of planes
-    0..lanes_log-1 and the w planes from lanes_log up.
-    """
-    width = len(bits) + lanes_log
-    planes = [0] * width
-    fixed = 0
-    for level in range(lanes_log):
-        size = 1 << level
-        full = (1 << size) - 1
-        carry = 0
-        for index, bit in zip(range(level, width), bits + "0"):
-            plane = planes[index]
-            if bit == "1":
-                planes[index] = plane | (plane ^ carry ^ full) << size
-                carry |= plane
-            else:
-                planes[index] = plane | (plane ^ carry) << size
-                carry &= plane
-        fixed = (fixed | fixed << size) ^ planes[level]
-    return fixed, planes[lanes_log:]
-
-
 def frequency(k: int, sample_count: int) -> FrequencyRecord:
     """Exact rational frequency of odd product weight over multipliers 1..sample_count.
 
@@ -353,16 +337,13 @@ def frequency(k: int, sample_count: int) -> FrequencyRecord:
     of 2^L consecutive lanes, and planes[j] is one int that holds bit j of k*i
     for every lane i < 2^L of the first block, so the XOR of the planes holds
     each product's weight parity and one bit_count counts the block. The first
-    block is built by doubling its lanes (see _first_block) and never written
-    again. Lane i of block q holds n = q*2^L + i, and k*n = k*i + a*2^L with
-    a = q*k, so by Kummer's theorem, s2(x + y) = s2(x) + s2(y) - c(x, y) with
-    c the number of carries, t(k*n) = t(k*i) ^ t(a) ^ (c mod 2). A later
-    block runs one carry word up the planes from plane L, as a ripple adder
-    would, and XORs each carry into an accumulator; past the top plane k*i has
-    no bits, so the carry goes on only through a's trailing ones there. That
-    costs two big-int operations per plane. Each block pays that fixed cost
-    per plane, and the first about that of four or five blocks, so L is sized
-    from sample_count alone: 2^L is about a quarter of the lanes, at most 2^16,
+    block is built by doubling its lanes (see digitcore._first_block) and never
+    written again. Lane i of block q holds n = q*2^L + i, and k*n = k*i + a*2^L
+    with a = q*k, so a later block is the first one XOR the parities of the
+    carries of that sum, t(a) apart (see digitcore._carry_parities), at two
+    big-int operations per plane. Each block pays that fixed cost per plane,
+    and the first about that of four or five blocks, so L is sized from
+    sample_count alone: 2^L is about a quarter of the lanes, at most 2^16,
     which timed close to the fastest L for every N from 10^3 to 10^6. k's
     factor of two is dropped first, as s2(2m) = s2(m), and n = 0 has weight 0
     and adds nothing.
@@ -388,13 +369,7 @@ def frequency(k: int, sample_count: int) -> FrequencyRecord:
     size = 1 << lanes_log
     for start in range(size, sample_count + 1, size):
         addend = start // size * odd
-        carry, parity = 0, first
-        for plane, bit in zip(planes, format(addend, "b")[::-1]):
-            carry = plane | carry if bit == "1" else plane & carry
-            parity ^= carry
-        above = addend >> len(planes)
-        if (above ^ above + 1).bit_length() % 2 == 0:  # an odd run of trailing ones
-            parity ^= carry
+        parity = _carry_parities(first, planes, addend)
         lanes = min(size, sample_count + 1 - start)
         if lanes < size:  # the last block, masked to the lanes up to sample_count
             parity &= (1 << lanes) - 1

@@ -648,9 +648,10 @@ _ENTRY_POINTS = [
     (_run("witness", "51"), {"cli", "digitcore", "witness"}, set(), _POOL),
     # --method both holds the oracle to the certificate without the scan
     (_run("f", "51"), {"cli", "digitcore", "witness", "oracle"}, set(), _POOL),
-    # 1..5000 is three tasks, which forked workers run, so it loads no pool either
+    # 1..5000 is three tasks, which forked workers run, so it loads no pool either; nor logging,
+    # which nothing set up to take the scan's INFO records, nor pickle, as results come marshalled
     (_run("scan", "--from", "1", "--to", "5000", "--jobs", "2", "--csv", "{csv}"), _SCAN_MODULES, set(),
-     {"fractions", *_POOL}),
+     {"fractions", "logging", "pickle", *_POOL}),
     (_run("freq", "--k", "3", "--samples", "1000"), _SCAN_MODULES, {"fractions"}, _POOL),
 ]
 
@@ -669,6 +670,15 @@ def test_no_entry_point_loads_typing(tmp_path):
         code = code.replace("{csv}", str(tmp_path / "scan.csv"))
         done = fresh_process("-S", "-c", f"{code}\nimport sys\nprint('typing' in sys.modules)")
         assert (done.returncode, done.stdout.splitlines()[-1:]) == (0, ["False"]), (code, done.stderr)
+
+
+@pytest.mark.parametrize("call, frozen", [("main()", "True"), ("run(sys.argv[1:])", "False")])
+def test_a_normal_exit_freezes_the_heap_for_the_collection_at_exit(call, frozen):
+    # an exit handler runs after main's sys.exit, where the collection at exit
+    # would walk every object not frozen; run() alone freezes nothing
+    done = fresh_process("-c", "import atexit, gc, sys\natexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+                         f"from tmwitness.cli import main, run\n{call}", "tm", "5")
+    assert (done.returncode, done.stdout, done.stderr) == (0, f'{{"n":5,"t":0}}\n{frozen}\n', "")
 
 
 def test_star_import_binds_the_public_names_alone():

@@ -1,12 +1,16 @@
-"""Unit tests for digit sums, words, slices, runs, and the subtraction identity."""
+"""Unit tests for digit sums, words, slices, runs, the subtraction identity, and bit planes."""
 
 import random
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tmwitness.digitcore import (
     RunDecomposition,
+    _carry_parities,
+    _first_block,
     lower_slice,
     run_decompose,
     shifted_difference_digit_sum,
@@ -207,3 +211,51 @@ def test_slice_parity_identity():
             low = lower_slice(k, width - j).count("1")
             high = upper_slice(k, j).count("1")
             assert low % 2 == (high + thue_morse(k)) % 2
+
+
+def _reference_multiples(bits, lanes_log):
+    """Bit planes of k*i for the lanes i < 2^lanes_log: the reference for _first_block.
+
+    Each lane's product is written out in binary, and plane j gathers bit j
+    of every product, lane i at bit i.
+    """
+    k = int(bits[::-1], 2)
+    width = len(bits) + lanes_log
+    rows = [format(k * lane, f"0{width}b") for lane in range(1 << lanes_log)]
+    return [int("".join(column)[::-1], 2) for column in zip(*rows)][::-1]
+
+
+def _assert_first_block_is_the_reference(bits, lanes_log):
+    planes = _reference_multiples(bits, lanes_log)
+    expected = (reduce(xor, planes[:lanes_log], 0), planes[lanes_log:])
+    assert _first_block(bits, lanes_log) == expected, lanes_log
+
+
+@pytest.mark.parametrize("k_bits", [1, 2, 62, 300, 4096])
+def test_first_block_builds_the_reference_planes(k_bits):
+    # w + lanes_log planes hold every lane's product exactly
+    k = int(("1101" * k_bits)[: k_bits - 1] + "1", 2)  # odd, of k_bits bits
+    bits = format(k, "b")[::-1]
+    for lanes_log in range(13):
+        _assert_first_block_is_the_reference(bits, lanes_log)
+
+
+@given(st.integers(min_value=1, max_value=1 << 300), st.integers(min_value=0, max_value=10))
+def test_first_block_builds_the_reference_planes_random(k, lanes_log):
+    _assert_first_block_is_the_reference(format(k, "b")[::-1], lanes_log)
+
+
+@given(
+    st.integers(min_value=1, max_value=1 << 130) | st.integers(min_value=1, max_value=64).map(lambda w: (1 << w) - 1),
+    st.integers(min_value=0, max_value=8),
+    st.integers(min_value=0, max_value=1 << 70),
+)
+def test_carry_parities_give_each_lane_of_a_later_block(k, lanes_log, block):
+    # lane i of block q holds t(k*n) ^ t(q*k) for n = q*2^L + i, one product at a time;
+    # all-ones k and large q give addends whose runs of ones pass the top plane
+    fixed, planes = _first_block(format(k, "b")[::-1], lanes_log)
+    word = _carry_parities(reduce(xor, planes, fixed), planes, block * k)
+    base, flip = block << lanes_log, thue_morse(block * k)
+    assert [word >> lane & 1 for lane in range(1 << lanes_log)] == [
+        thue_morse(k * (base + lane)) ^ flip for lane in range(1 << lanes_log)
+    ]

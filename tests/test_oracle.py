@@ -2,9 +2,10 @@
 
 import heapq
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tmwitness import oracle
 from tmwitness.digitcore import TheoremViolationError, thue_morse
@@ -255,6 +256,50 @@ def test_ceiling_below_the_bound_still_raises_a_violation(monkeypatch, ceiling, 
     monkeypatch.setattr(oracle, ceiling, lambda k: 2)
     with pytest.raises(TheoremViolationError):
         f_and_zero_mins([k])
+
+
+# k whose walks are long: f(2^r + 1) = 2^r + 1, f(4^r - 1) = 4^r + 3, zero_min(2^r - 1) = 2^r + 1 for odd r
+_LONG_WALKS = [(1 << r) + sign for r in range(2, 13) for sign in (1, -1)]
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=1 << 12) | st.sampled_from(_LONG_WALKS),
+    st.sampled_from([0, 1]),
+    st.sampled_from([2, 5, oracle._WALK_LANES_LOG]),
+    st.data(),
+)
+def test_block_walk_matches_an_every_n_walk(k, parity, lanes_log, data):
+    # with no odd n walked one at a time, blocks alone walk from start; start,
+    # the hit, limit and the bound each fall where they may in a block
+    least = _every_n(k, parity, (oracle._f_ceiling if parity else oracle._zero_ceiling)(k))
+    assert least % 2 == 1
+    start = 2 * data.draw(st.integers(0, least // 2), label="start") + 1  # no hit lies below it
+    limit = data.draw(st.integers(start, least + 70), label="limit")
+    bound = data.draw(st.sampled_from([1024, 1026, 1027]) | st.integers(start, least + 70), label="bound")
+    top = min(limit, bound)
+    with mock.patch.multiple(oracle, _SCALAR_WALK=0, _WALK_LANES_LOG=lanes_log, _WALK_BOUND=bound):
+        if least <= top:
+            assert oracle._walk(k, parity, limit, start) == least
+        elif limit > top:
+            message = f"of k={k} stopped at n={(top - 1) | 1}, short of its proven ceiling {limit}"
+            with pytest.raises(ValueError, match=message):
+                oracle._walk(k, parity, limit, start)
+        else:
+            with pytest.raises(TheoremViolationError, match=f"k={k}"):
+                oracle._walk(k, parity, limit, start)
+
+
+def test_block_walks_reach_the_proven_values():
+    # the long walks the paper's families give, well past the first block of
+    # lanes: the f = k members, the f = k + 4 members, and the all-ones words
+    # of odd width, whose zero_min is their ceiling 2^w + 1
+    for r in range(2, 27):
+        assert f_exact((1 << r) + 1) == (1 << r) + 1
+    for r in range(1, 14):
+        assert f_exact((1 << 2 * r) - 1) == (1 << 2 * r) + 3
+    for r in range(1, 26, 2):
+        assert zero_min((1 << r) - 1) == (1 << r) + 1
 
 
 def test_min_weight_witness_frozen():

@@ -9,8 +9,7 @@ import threading
 import time
 import warnings
 from fractions import Fraction
-from functools import cache, reduce
-from operator import xor
+from functools import cache
 from unittest import mock
 
 import pytest
@@ -26,7 +25,6 @@ from tmwitness.scanner import (
     _blocks,
     _column,
     _family_gaps,
-    _first_block,
     emit_csv,
     frequency,
     scan_csv,
@@ -497,38 +495,6 @@ def test_frequency_matches_pointwise_windows():
         direct = _odd_weight_counts(k, max(counts))
         for count in counts:
             assert frequency(k, count).ones_frequency == Fraction(direct[count], count), (k, count)
-
-
-def _reference_multiples(bits, lanes_log):
-    """Bit planes of k*i for the lanes i < 2^lanes_log: the reference for _first_block.
-
-    Each lane's product is written out in binary, and plane j gathers bit j
-    of every product, lane i at bit i.
-    """
-    k = int(bits[::-1], 2)
-    width = len(bits) + lanes_log
-    rows = [format(k * lane, f"0{width}b") for lane in range(1 << lanes_log)]
-    return [int("".join(column)[::-1], 2) for column in zip(*rows)][::-1]
-
-
-def _assert_first_block_is_the_reference(bits, lanes_log):
-    planes = _reference_multiples(bits, lanes_log)
-    expected = (reduce(xor, planes[:lanes_log], 0), planes[lanes_log:])
-    assert _first_block(bits, lanes_log) == expected, lanes_log
-
-
-@pytest.mark.parametrize("k_bits", [1, 2, 62, 300, 4096])
-def test_first_block_builds_the_reference_planes(k_bits):
-    # w + lanes_log planes hold every lane's product exactly
-    k = int(("1101" * k_bits)[: k_bits - 1] + "1", 2)  # odd, of k_bits bits
-    bits = format(k, "b")[::-1]
-    for lanes_log in range(13):
-        _assert_first_block_is_the_reference(bits, lanes_log)
-
-
-@given(st.integers(min_value=1, max_value=1 << 300), st.integers(min_value=0, max_value=10))
-def test_first_block_builds_the_reference_planes_random(k, lanes_log):
-    _assert_first_block_is_the_reference(format(k, "b")[::-1], lanes_log)
 
 
 @given(st.integers(min_value=1, max_value=1 << 4100), st.integers(min_value=1, max_value=5000))
