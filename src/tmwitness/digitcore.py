@@ -13,6 +13,7 @@ word transparently.
 
 import itertools
 from collections import namedtuple
+from collections.abc import Iterator
 
 __all__ = [
     "TheoremViolationError",
@@ -203,12 +204,12 @@ def _first_block(bits: str, lanes_log: int) -> tuple[int, list[int]]:
     bits below level, so plane level is final once doubled: it is folded into
     the XOR of the planes below it, all that later blocks read of them.
     Products stay below 2^(level+1+w), so the w + lanes_log planes hold every
-    lane's product and no carry is dropped. Returns the XOR of planes
-    0..lanes_log-1 and the w planes from lanes_log up.
+    lane's product and no carry is dropped. Returns the XOR of all the
+    planes, t(k*i) in lane i, and the w planes from lanes_log up.
     """
     width = len(bits) + lanes_log
     planes = [0] * width
-    fixed = 0
+    parity = 0
     for level in range(lanes_log):
         size = 1 << level
         full = (1 << size) - 1
@@ -221,27 +222,38 @@ def _first_block(bits: str, lanes_log: int) -> tuple[int, list[int]]:
             else:
                 planes[index] = plane | (plane ^ carry) << size
                 carry &= plane
-        fixed = (fixed | fixed << size) ^ planes[level]
-    return fixed, planes[lanes_log:]
+        parity = (parity | parity << size) ^ planes[level]
+    for plane in planes[lanes_log:]:
+        parity ^= plane
+    return parity, planes[lanes_log:]
 
 
-def _carry_parities(first: int, planes: list[int], addend: int) -> int:
-    """A later block's lanes from the first block's: t(k*n) XOR t(addend) in lane i, n = q*2^L + i.
+def _parity_blocks(k: int, lanes_log: int, block: int, parity: int) -> Iterator[int]:
+    """Blocks q = block, block + 1, ... of k's multiples: lane i is set when s2(k*n) % 2 == parity, n = q*2^L + i.
 
-    first holds t(k*i) in lane i, and planes are the w planes from L up that
-    _first_block returns; addend is a = q*k. k*n = k*i + a*2^L, so by Kummer's
-    theorem, s2(x + y) = s2(x) + s2(y) - c(x, y) with c the number of carries,
-    t(k*n) = t(k*i) ^ t(a) ^ (c mod 2). One carry word runs up the planes from
-    plane L, as a ripple adder would, and each carry is XORed into first; past
-    the top plane k*i has no bits, so the carry goes on only through a's
-    trailing ones there. That costs two big-int operations per plane, and no
-    plane is written.
+    Lane i of block q holds n = q*2^L + i for L = lanes_log, and
+    k*n = k*i + a*2^L with a = q*k. By Kummer's theorem,
+    s2(x + y) = s2(x) + s2(y) - c(x, y) with c the number of carries, so
+    t(k*n) = t(k*i) ^ t(a) ^ (c mod 2). The first block's parity word and
+    planes (see _first_block) are built once and never written again. For
+    each block, one carry word runs up the planes from plane L, as a ripple
+    adder would, and each carry is XORed into the word; past the top plane
+    k*i has no bits, so the carry goes on only through a's trailing ones
+    there. That costs two big-int operations per plane. The t(a) and parity
+    complement is a choice between two start words made before the loop.
+    Each plane is its own int, so bits of one product never reach another's,
+    and the width need not be a power of two, as it would in a layout that
+    set the products side by side in fixed-width fields.
     """
-    carry, parity = 0, first
-    for plane, bit in zip(planes, format(addend, "b")[::-1]):
-        carry = plane | carry if bit == "1" else plane & carry
-        parity ^= carry
-    above = addend >> len(planes)
-    if (above ^ above + 1).bit_length() % 2 == 0:  # an odd run of trailing ones
-        parity ^= carry
-    return parity
+    first, planes = _first_block(format(k, "b")[::-1], lanes_log)
+    flipped = first ^ (1 << (1 << lanes_log)) - 1
+    starts = (first, flipped) if parity else (flipped, first)
+    for addend in itertools.count(block * k, k):
+        carry, word = 0, starts[addend.bit_count() & 1]
+        for plane, bit in zip(planes, format(addend, "b")[::-1]):
+            carry = plane | carry if bit == "1" else plane & carry
+            word ^= carry
+        above = addend >> len(planes)
+        if (above ^ above + 1).bit_length() % 2 == 0:  # an odd run of trailing ones
+            word ^= carry
+        yield word

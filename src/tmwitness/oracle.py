@@ -1,11 +1,13 @@
 """Brute-force searches that establish ground truth independently of any construction.
 
 Every search here walks candidates in strictly ascending order, so a returned
-value is the minimum by construction. Every walk over multipliers n skips
+value is the minimum by construction. Every walk for a weight parity skips
 the even n, or, a block of n at a time, never meets one first: an even
 n = 2m is never least, as s2(k * 2m) = s2(k * m), so the least n of either
 parity of s2(k * n) is odd. min_weight_witness also walks only below a
-proven bound. The witness machinery is tested against
+proven bound. Every other walk stops at a module bound when its proven
+ceiling lies past it, _WALK_BOUND for f and zero_min and _G_MIN_BOUND for
+g_min, and raises ValueError there. The witness machinery is tested against
 this module, never the other way around: every path that runs both, the
 scan, `f` and `genbase`, holds the construction to it through
 _check_agreement here.
@@ -13,11 +15,10 @@ _check_agreement here.
 
 import math
 from collections.abc import Sequence
-from functools import reduce
 from itertools import compress
-from operator import not_, xor
+from operator import not_
 
-from .digitcore import TheoremViolationError, _carry_parities, _first_block, reduce_to_odd, thue_morse
+from .digitcore import TheoremViolationError, _parity_blocks, reduce_to_odd, thue_morse
 
 __all__ = [
     "f_exact",
@@ -31,6 +32,11 @@ __all__ = [
 def _f_ceiling(k: int) -> int:
     # the paper's theorem: some n <= k_odd + 4 works
     return reduce_to_odd(k)[0] + 4
+
+
+def _g_ceiling(base: int, modulus: int, k: int) -> int:
+    # below base^modulus * k a digit-class witness provably exists
+    return base**modulus * k
 
 
 def _zero_ceiling(k: int) -> int:
@@ -71,20 +77,31 @@ def _walk(k: int, parity: int, limit: int, start: int = 1) -> int:
 
     No n below start may be such an n. The first _SCALAR_WALK odd n are
     tried one by one, and the rest in blocks of 2^_WALK_LANES_LOG
-    consecutive n (see _block_walk). Exhausting limit, a proven ceiling, is a
-    contradiction and raises TheoremViolationError. A walk that reaches
-    _WALK_BOUND below its ceiling stops there and raises ValueError.
+    consecutive n (see digitcore._parity_blocks), whose lowest lane at or
+    above the first n not yet tried is the least hit. Even lanes do no harm:
+    as s2(2m) = s2(m) and no n below start hits, the least hit of either
+    parity is odd. Exhausting limit, a proven ceiling, is a contradiction and
+    raises TheoremViolationError. A walk that reaches _WALK_BOUND below its
+    ceiling stops there and raises ValueError.
     """
     step = 2 * k
     product = k * (start - 2)
-    top, blocks = min(limit, _WALK_BOUND), start + 2 * _SCALAR_WALK
-    for n in range(start, min(top + 1, blocks), 2):
+    top, low = min(limit, _WALK_BOUND), start + 2 * _SCALAR_WALK
+    for n in range(start, min(top + 1, low), 2):
         product += step
         if product.bit_count() & 1 == parity:
             return n
-    hit = _block_walk(reduce_to_odd(k)[0], parity, blocks, top)
-    if hit:
-        return hit
+    if low <= top:  # a walk that ends in its scalar prefix builds no block
+        size = 1 << _WALK_LANES_LOG
+        blocks = _parity_blocks(reduce_to_odd(k)[0], _WALK_LANES_LOG, low // size, parity)
+        for base, hits in zip(range(low - low % size, top + 1, size), blocks):
+            if base < low:
+                hits &= -1 << low - base
+            if hits:
+                hit = base + (hits & -hits).bit_length() - 1
+                if hit > top:
+                    break
+                return hit
     if limit > top:
         least, hint = ("f", "; `f --method constructive` gives a witness") if parity else ("zero_min", "")
         raise ValueError(
@@ -94,36 +111,6 @@ def _walk(k: int, parity: int, limit: int, start: int = 1) -> int:
     if parity:
         raise TheoremViolationError(f"no multiplier up to {limit} works for k={k}")
     raise TheoremViolationError(f"no even-weight multiple of k={k} up to n={limit}")
-
-
-def _block_walk(k: int, parity: int, low: int, high: int) -> int | None:
-    """Least n in low..high whose product with k has the given weight parity, or None; no n below low is one.
-
-    Lane i of block q is n = q*2^L + i, for L = _WALK_LANES_LOG, and the
-    block's word holds t(k*n) XOR t(q*k) in lane i (see
-    digitcore._carry_parities), so the lanes of the wanted parity are the word
-    or its complement, and the lowest of them at or above low is the least
-    hit. Even lanes do no harm: as s2(2m) = s2(m) and no n below low hits,
-    the least hit of either parity is odd.
-    """
-    if low > high:
-        return None
-    lanes_log = _WALK_LANES_LOG
-    full = (1 << (1 << lanes_log)) - 1
-    fixed, planes = _first_block(format(k, "b")[::-1], lanes_log)
-    first = reduce(xor, planes, fixed)  # t(k*i) in lane i
-    for block in range(low >> lanes_log, (high >> lanes_log) + 1):
-        addend = block * k
-        hits = _carry_parities(first, planes, addend)
-        if addend.bit_count() & 1 == parity:
-            hits ^= full
-        base = block << lanes_log
-        if base < low:
-            hits &= -1 << (low - base)
-        if hits:
-            least = base + (hits & -hits).bit_length() - 1
-            return least if least <= high else None
-    return None
 
 
 def _check_agreement(k: int, least: int, constructed: int) -> None:
@@ -222,20 +209,30 @@ def min_weight_witness(k: int, weight_cap: int, n_bit_limit: int) -> int | None:
     return None
 
 
+# g_min stops at this n when its proven ceiling lies past it: up to 2^20, one n took
+# 1.3-4.4 us at base 2 and 0.5-1.5 us at base 10 (best of 3 in one process and a loaded
+# run, a 2-core x86-64 box, Python 3.11), so a walk to the bound takes 1.4-4.6 s, where
+# _WALK_BOUND would take up to 20 min; the tests' and README's conjecture scans stay below 2^13
+_G_MIN_BOUND = 1 << 20
+
+
 def g_min(query: "GenBaseQuery") -> int:
     """Least n >= 1 whose product with k has its base-b digit sum in the wanted class.
 
     Digits are extracted by repeated division even for base 2, keeping this
     code path independent of the bit-counting machinery it is used to check.
+    Exhausting the proven ceiling base^modulus * k raises
+    TheoremViolationError; a walk that reaches _G_MIN_BOUND below its
+    ceiling stops there and raises ValueError.
     """
     base, modulus, k = query.base, query.modulus, query.k
     wanted = query.digit_class % modulus
     if math.gcd(base - 1, modulus) != 1:
         raise ValueError("termination needs gcd(base-1, modulus) = 1")
-    # below base^modulus * k a digit-class witness provably exists
-    limit = base**modulus * k
+    limit = _g_ceiling(base, modulus, k)
+    top = min(limit, _G_MIN_BOUND)
     product = 0
-    for n in range(1, limit + 1):
+    for n in range(1, top + 1):
         product += k
         value = product
         total = 0
@@ -244,6 +241,11 @@ def g_min(query: "GenBaseQuery") -> int:
             total += digit
         if total % modulus == wanted:
             return n
+    if limit > top:
+        raise ValueError(
+            f"the oracle walk for g_min of k={k} in digit class {wanted} mod {modulus} stopped at n={top}, "
+            f"short of its proven ceiling {base}^{modulus} * {k}; `genbase --method construct` gives a witness"
+        )
     raise TheoremViolationError(
         f"no multiplier up to {limit} reaches digit class {wanted} for k={k}"
     )

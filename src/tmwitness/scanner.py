@@ -17,12 +17,11 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import suppress
-from functools import reduce
 from itertools import chain, compress, islice, repeat, starmap
-from operator import ge, gt, sub, xor
+from operator import ge, gt, sub
 
 from . import oracle
-from .digitcore import TheoremViolationError, _carry_parities, _first_block, reduce_to_odd
+from .digitcore import TheoremViolationError, _parity_blocks, reduce_to_odd
 from .oracle import _check_agreement
 from .witness import CaseLabel, verify
 
@@ -334,28 +333,15 @@ def frequency(k: int, sample_count: int) -> FrequencyRecord:
     """Exact rational frequency of odd product weight over multipliers 1..sample_count.
 
     The count is bit-sliced. The multipliers n = 0..sample_count go in blocks
-    of 2^L consecutive lanes, and planes[j] is one int that holds bit j of k*i
-    for every lane i < 2^L of the first block, so the XOR of the planes holds
-    each product's weight parity and one bit_count counts the block. The first
-    block is built by doubling its lanes (see digitcore._first_block) and never
-    written again. Lane i of block q holds n = q*2^L + i, and k*n = k*i + a*2^L
-    with a = q*k, so a later block is the first one XOR the parities of the
-    carries of that sum, t(a) apart (see digitcore._carry_parities), at two
-    big-int operations per plane. Each block pays that fixed cost per plane,
-    and the first about that of four or five blocks, so L is sized from
+    of 2^L consecutive lanes; digitcore._parity_blocks gives each block as one
+    int whose lane i is set when k*n has odd weight, n = q*2^L + i, so one
+    bit_count counts the block, and the last block is masked to the lanes up
+    to sample_count. Each block costs two big-int operations per bit of k,
+    and the first about as much as four or five blocks, so L is sized from
     sample_count alone: 2^L is about a quarter of the lanes, at most 2^16,
     which timed close to the fastest L for every N from 10^3 to 10^6. k's
     factor of two is dropped first, as s2(2m) = s2(m), and n = 0 has weight 0
     and adds nothing.
-
-    Invariant: k*i < k*2^L < 2^(w+L) for the w-bit odd part of k, so the
-    w + L planes hold every lane's product and no carry is dropped; the
-    planes are read-only after the first block, and every later product's
-    bits above them come from a alone. The last block is masked to the lanes
-    up to sample_count. Because each plane is its own int, bits of one
-    product never reach another's, so the width need not be a power of two,
-    as it would in a layout that set the products side by side in fixed-width
-    fields and folded each field to its parity.
     """
     from fractions import Fraction
 
@@ -363,18 +349,10 @@ def frequency(k: int, sample_count: int) -> FrequencyRecord:
     if sample_count < 1:
         raise ValueError("need at least one sample")
     lanes_log = min(_BLOCK_LOG, max(1, sample_count.bit_length() - 2))
-    fixed, planes = _first_block(format(odd, "b")[::-1], lanes_log)
-    first = reduce(xor, planes, fixed)  # t(k*i) in lane i
-    hits = first.bit_count()
-    size = 1 << lanes_log
-    for start in range(size, sample_count + 1, size):
-        addend = start // size * odd
-        parity = _carry_parities(first, planes, addend)
-        lanes = min(size, sample_count + 1 - start)
-        if lanes < size:  # the last block, masked to the lanes up to sample_count
-            parity &= (1 << lanes) - 1
-        odd_lanes = parity.bit_count()
-        hits += lanes - odd_lanes if addend.bit_count() % 2 else odd_lanes
+    hits = 0
+    for start, word in zip(range(0, sample_count + 1, 1 << lanes_log), _parity_blocks(odd, lanes_log, 0, 1)):
+        hits += word.bit_count()
+    hits -= (word >> sample_count + 1 - start).bit_count()  # the last block's lanes past sample_count
     return FrequencyRecord(k, sample_count, Fraction(hits, sample_count))
 
 

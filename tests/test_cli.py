@@ -138,6 +138,28 @@ def test_walk_past_the_bound_exits_2(capsys, monkeypatch, argv, message):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, wanted",
+    [
+        (["genbase", "--base", "2", "--mod", "12", "--class", "0", "--k", "3"], 0),
+        (["genbase", "--base", "2", "--mod", "12", "--class", "0", "--k", "3", "--method", "oracle"], 0),
+        (["conjecture", "--base", "2", "--mod", "12", "--class", "1", "--max", "3"], 1),
+    ],
+)
+def test_g_min_past_the_bound_exits_2(capsys, monkeypatch, argv, wanted):
+    # with g_min bounded at 2^10, k = 3 needs n = 1365 for class 0 mod 12 and n = 2731 for class 1
+    monkeypatch.setattr("tmwitness.oracle._G_MIN_BOUND", 1 << 10)
+    assert invoke(capsys, *argv) == (
+        2, "", f"error: the oracle walk for g_min of k=3 in digit class {wanted} mod 12 stopped at n=1024, "
+        "short of its proven ceiling 2^12 * 3; `genbase --method construct` gives a witness\n"
+    )
+    # the witness that the hint points to
+    construct = ["genbase", "--base", "2", "--mod", "12", "--class", "0", "--k", "3", "--method", "construct"]
+    assert invoke(capsys, *construct) == (
+        0, '{"base":2,"mod":12,"class":0,"k":3,"residue":null,"method":"construct","constructed":4095}\n', ""
+    )
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scan_stops_at_the_first_walk_past_the_bound(capsys, monkeypatch, tmp_path, small_tasks, jobs):
     # 1025 is the first odd core of 1024..1100 whose walk passes the bound; the

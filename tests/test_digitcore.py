@@ -2,6 +2,7 @@
 
 import random
 from functools import reduce
+from itertools import islice
 from operator import xor
 
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, strategies as st
 
 from tmwitness.digitcore import (
     RunDecomposition,
-    _carry_parities,
     _first_block,
+    _parity_blocks,
     lower_slice,
     run_decompose,
     shifted_difference_digit_sum,
@@ -227,7 +228,7 @@ def _reference_multiples(bits, lanes_log):
 
 def _assert_first_block_is_the_reference(bits, lanes_log):
     planes = _reference_multiples(bits, lanes_log)
-    expected = (reduce(xor, planes[:lanes_log], 0), planes[lanes_log:])
+    expected = (reduce(xor, planes, 0), planes[lanes_log:])
     assert _first_block(bits, lanes_log) == expected, lanes_log
 
 
@@ -248,14 +249,16 @@ def test_first_block_builds_the_reference_planes_random(k, lanes_log):
 @given(
     st.integers(min_value=1, max_value=1 << 130) | st.integers(min_value=1, max_value=64).map(lambda w: (1 << w) - 1),
     st.integers(min_value=0, max_value=8),
-    st.integers(min_value=0, max_value=1 << 70),
+    st.sampled_from([0, 1]) | st.integers(min_value=2, max_value=1 << 70),
+    st.sampled_from([0, 1]),
 )
-def test_carry_parities_give_each_lane_of_a_later_block(k, lanes_log, block):
-    # lane i of block q holds t(k*n) ^ t(q*k) for n = q*2^L + i, one product at a time;
-    # all-ones k and large q give addends whose runs of ones pass the top plane
-    fixed, planes = _first_block(format(k, "b")[::-1], lanes_log)
-    word = _carry_parities(reduce(xor, planes, fixed), planes, block * k)
-    base, flip = block << lanes_log, thue_morse(block * k)
-    assert [word >> lane & 1 for lane in range(1 << lanes_log)] == [
-        thue_morse(k * (base + lane)) ^ flip for lane in range(1 << lanes_log)
-    ]
+def test_parity_blocks_give_each_lane_of_the_wanted_parity(k, lanes_log, block, parity):
+    # lane i of block q is set when t(k*n) == parity for n = q*2^L + i, one product at a time,
+    # over two blocks in a row; all-ones k and large q give addends whose runs of ones pass the top plane
+    words = islice(_parity_blocks(k, lanes_log, block, parity), 2)
+    for q, word in enumerate(words, block):
+        base = q << lanes_log
+        assert [word >> lane & 1 for lane in range(1 << lanes_log)] == [
+            thue_morse(k * (base + lane)) == parity for lane in range(1 << lanes_log)
+        ]
+        assert word >> (1 << lanes_log) == 0

@@ -419,6 +419,26 @@ def test_g_min_negative_class_normalized():
     assert g_min(GenBaseQuery(2, 2, -1, 3)) == g_min(GenBaseQuery(2, 2, 1, 3))
 
 
+def test_g_min_past_the_bound_stops_there(monkeypatch):
+    # g_min of k = 1 for class 0 mod 3 is 7, below its ceiling 2^3: a bound there still finds it, one below stops
+    monkeypatch.setattr(oracle, "_G_MIN_BOUND", 7)
+    assert g_min(GenBaseQuery(2, 3, 0, 1)) == 7
+    monkeypatch.setattr(oracle, "_G_MIN_BOUND", 6)
+    message = (
+        r"^the oracle walk for g_min of k=1 in digit class 0 mod 3 stopped at n=6, short of its proven ceiling 2\^3 \* 1; "
+        "`genbase --method construct` gives a witness$"
+    )
+    with pytest.raises(ValueError, match=message):
+        g_min(GenBaseQuery(2, 3, 0, 1))
+
+
+def test_g_min_ceiling_below_the_bound_still_raises_a_violation(monkeypatch):
+    monkeypatch.setattr(oracle, "_G_MIN_BOUND", 1 << 10)
+    monkeypatch.setattr(oracle, "_g_ceiling", lambda base, modulus, k: 2)
+    with pytest.raises(TheoremViolationError, match="k=3"):
+        g_min(GenBaseQuery(2, 2, 1, 3))
+
+
 def test_f_exact_violation_when_bound_forced_too_low(monkeypatch):
     monkeypatch.setattr("tmwitness.oracle._f_ceiling", lambda k: 2)
     with pytest.raises(TheoremViolationError):
