@@ -17,7 +17,7 @@ import sys
 from collections.abc import Sequence
 
 # each command imports the sibling modules it runs, so `tm 5` loads neither the oracles nor the scan
-from .digitcore import TheoremViolationError, reduce_to_odd, sum_digits, thue_morse
+from .digitcore import TheoremViolationError, frequency, reduce_to_odd, sum_digits, thue_morse
 
 __all__ = ["run", "main", "serialize_certificate", "parse_certificate"]
 
@@ -274,14 +274,12 @@ def _dispatch(args) -> int:
                 # most rows have no flags, and a _dump call takes about 1 us
                 sys.stdout.write(scanner._block_text(block, line, lambda f: _dump(f) if f else "[]"))
     elif args.command == "weights":
-        from . import scanner
+        from . import oracle
 
-        for record in scanner.scan_weight_family(args.exponent_min, args.exponent_max, args.bit_limit):
+        for record in oracle.scan_weight_family(args.exponent_min, args.exponent_max, args.bit_limit):
             _emit({"r": record.exponent, "k": record.k, "counterexample": record.counterexample})
     elif args.command == "freq":
-        from . import scanner
-
-        record = scanner.frequency(args.k, args.samples)
+        record = frequency(args.k, args.samples)
         fraction = record.ones_frequency
         _emit(
             {

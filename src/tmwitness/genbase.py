@@ -4,10 +4,13 @@ The problem solved here: given a base b, a modulus r with gcd(b-1, r) = 1, a
 digit class c, and a coefficient k, produce n with the base-b digit sum of
 k*n congruent to c mod r; or, with a pinned residue a, produce n congruent
 to a mod k whose own digit sum lands in the class. Both constructions carry
-explicit size bounds and are re-verified on every call.
+explicit size bounds and are re-verified on every call. A witness, or a
+conjecture scan's bound, with more digits than CPython prints is refused with
+ValueError before it is built, its size read from its exponent.
 """
 
 import math
+import sys
 from collections import namedtuple
 
 from . import oracle
@@ -58,6 +61,18 @@ conjecture, not a theorem.
 """
 
 
+def _refuse_past_print_limit(what: str, digits: int) -> None:
+    """Raise ValueError when a number of this many decimal digits, estimated from its exponent, could not be printed.
+
+    The limit is CPython's on int-to-text conversion, sys.get_int_max_str_digits().
+    A witness or bound past it would fail only once built and printed, and
+    building it can take longer than any caller waits.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if 0 < limit < digits:
+        raise ValueError(f"the {what} would have about {digits:,} digits, past the {limit:,}-digit limit on printing")
+
+
 def _scale_exponent(query: GenBaseQuery) -> int:
     # least exponent with k <= base^exponent, floored at 1 so n stays positive
     exponent = 1
@@ -67,13 +82,18 @@ def _scale_exponent(query: GenBaseQuery) -> int:
 
 
 def _pick_exponent(query: GenBaseQuery, target: int) -> int:
-    """Least t in a window of `modulus` consecutive exponents with (base-1)*t in the target class."""
+    """Least t in a window of `modulus` consecutive exponents with (base-1)*t in the target class.
+
+    As gcd(base-1, modulus) = 1, t is target / (base-1) mod modulus, so
+    finding it costs one modular inverse at any modulus.
+    """
     start = _scale_exponent(query)
     wanted = target % query.modulus
-    for t in range(start, start + query.modulus):
-        if (query.base - 1) * t % query.modulus == wanted:
-            return t
-    raise TheoremViolationError(f"no exponent in the window reaches class {wanted} for {query}")
+    try:
+        residue = wanted * pow(query.base - 1, -1, query.modulus) % query.modulus
+    except ValueError:  # base-1 has no inverse: a query built unchecked, with gcd(base-1, modulus) != 1
+        raise TheoremViolationError(f"no exponent in the window reaches class {wanted} for {query}") from None
+    return start + (residue - start) % query.modulus
 
 
 def prop_construct(query: GenBaseQuery) -> int:
@@ -85,6 +105,7 @@ def prop_construct(query: GenBaseQuery) -> int:
     if query.residue is not None:
         raise ValueError("queries with a pinned residue go to corollary_construct")
     t = _pick_exponent(query, query.digit_class)
+    _refuse_past_print_limit("witness", math.ceil(t * math.log10(query.base)))
     n = query.base**t - 1
     if sum_digits(query.base, query.k * n) % query.modulus != query.digit_class:
         raise TheoremViolationError(f"construction broke its digit-class contract for {query}")
@@ -105,6 +126,7 @@ def corollary_construct(query: GenBaseQuery) -> int:
     scale = _scale_exponent(query)
     residue_digits = sum_digits(query.base, query.residue)
     t = _pick_exponent(query, query.digit_class - residue_digits)
+    _refuse_past_print_limit("witness", math.ceil(math.log10(query.k) + (scale + t) * math.log10(query.base)))
     n = query.k * query.base**scale * (query.base**t - 1) + query.residue
     if (
         n % query.k != query.residue
@@ -124,6 +146,7 @@ def conjecture_scan(base: int, modulus: int, digit_class: int, k_max: int) -> Co
     if k_max < 1:
         raise ValueError("k_max must be positive")
     first = GenBaseQuery(base, modulus, digit_class, 1)
+    _refuse_past_print_limit("bound", math.floor((modulus + first.digit_class) * math.log10(base)) + 1)
     wanted, worst_gap, worst_k = first.digit_class, oracle.g_min(first) - 1, 1
     for k in range(2, k_max + 1):
         gap = oracle.g_min(GenBaseQuery(base, modulus, wanted, k)) - k

@@ -5,15 +5,17 @@ value is the minimum by construction. Every walk for a weight parity skips
 the even n, or, a block of n at a time, never meets one first: an even
 n = 2m is never least, as s2(k * 2m) = s2(k * m), so the least n of either
 parity of s2(k * n) is odd. min_weight_witness also walks only below a
-proven bound. Every other walk stops at a module bound when its proven
-ceiling lies past it, _WALK_BOUND for f and zero_min and _G_MIN_BOUND for
-g_min, and raises ValueError there. The witness machinery is tested against
-this module, never the other way around: every path that runs both, the
-scan, `f` and `genbase`, holds the construction to it through
-_check_agreement here.
+proven bound; scan_weight_family runs it over the paper's family of k that
+no sparse n serves. Every other walk stops at a module bound when its
+proven ceiling lies past it, _WALK_BOUND for f and zero_min and
+_G_MIN_BOUND for g_min, and raises ValueError there. The witness machinery
+is tested against this module, never the other way around: every path that
+runs both, the scan, `f` and `genbase`, holds the construction to it
+through _check_agreement here.
 """
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from itertools import compress
 from operator import not_
@@ -25,6 +27,8 @@ __all__ = [
     "zero_min",
     "f_and_zero_mins",
     "min_weight_witness",
+    "WeightFamilyRecord",
+    "scan_weight_family",
     "g_min",
 ]
 
@@ -77,12 +81,13 @@ def _walk(k: int, parity: int, limit: int, start: int = 1) -> int:
 
     No n below start may be such an n. The first _SCALAR_WALK odd n are
     tried one by one, and the rest in blocks of 2^_WALK_LANES_LOG
-    consecutive n (see digitcore._parity_blocks), whose lowest lane at or
-    above the first n not yet tried is the least hit. Even lanes do no harm:
-    as s2(2m) = s2(m) and no n below start hits, the least hit of either
-    parity is odd. Exhausting limit, a proven ceiling, is a contradiction and
-    raises TheoremViolationError. A walk that reaches _WALK_BOUND below its
-    ceiling stops there and raises ValueError.
+    consecutive n from the first not yet tried up to the walk's top (see
+    digitcore._parity_blocks), where the first nonzero word's lowest lane is
+    the least hit. Even lanes do no harm: as s2(2m) = s2(m) and no n below
+    start hits, the least hit of either parity is odd. Exhausting limit, a
+    proven ceiling, is a contradiction and raises TheoremViolationError. A
+    walk that reaches _WALK_BOUND below its ceiling stops there and raises
+    ValueError.
     """
     step = 2 * k
     product = k * (start - 2)
@@ -92,16 +97,9 @@ def _walk(k: int, parity: int, limit: int, start: int = 1) -> int:
         if product.bit_count() & 1 == parity:
             return n
     if low <= top:  # a walk that ends in its scalar prefix builds no block
-        size = 1 << _WALK_LANES_LOG
-        blocks = _parity_blocks(reduce_to_odd(k)[0], _WALK_LANES_LOG, low // size, parity)
-        for base, hits in zip(range(low - low % size, top + 1, size), blocks):
-            if base < low:
-                hits &= -1 << low - base
+        for base, hits in _parity_blocks(reduce_to_odd(k)[0], _WALK_LANES_LOG, low, top, parity):
             if hits:
-                hit = base + (hits & -hits).bit_length() - 1
-                if hit > top:
-                    break
-                return hit
+                return base + (hits & -hits).bit_length() - 1
     if limit > top:
         least, hint = ("f", "; `f --method constructive` gives a witness") if parity else ("zero_min", "")
         raise ValueError(
@@ -209,6 +207,34 @@ def min_weight_witness(k: int, weight_cap: int, n_bit_limit: int) -> int | None:
     return None
 
 
+WeightFamilyRecord = namedtuple("WeightFamilyRecord", "exponent k counterexample")
+WeightFamilyRecord.__doc__ = "Sparse-multiplier sweep result for k = 3 * 2^exponent + 3; counterexample may be None."
+
+
+def scan_weight_family(exponent_min: int, exponent_max: int, bit_limit: int) -> list[WeightFamilyRecord]:
+    """Check k = 3 * 2^exponent + 3 for multipliers with at most two set bits.
+
+    Every product of such a k with a sparse n below 2^bit_limit is expected
+    to have even weight; a hit is returned as a counterexample in the record,
+    never raised. Once bit_limit is at least k's width, exponent + 2, a None
+    counterexample means that no such n exists at all: past that width,
+    k * (2^d + 1) is two copies of k that do not overlap, of even weight.
+    """
+    if not 4 <= exponent_min <= exponent_max:  # the family starts at exponent 4
+        raise ValueError("need 4 <= exponent_min <= exponent_max")
+    import logging
+
+    log = logging.getLogger(__name__)
+    records = []
+    for exponent in range(exponent_min, exponent_max + 1):
+        k = 3 * 2**exponent + 3
+        hit = min_weight_witness(k, 2, bit_limit)
+        if hit is not None:
+            log.warning("sparse counterexample for exponent %d: k=%d, n=%d", exponent, k, hit)
+        records.append(WeightFamilyRecord(exponent, k, hit))
+    return records
+
+
 # g_min stops at this n when its proven ceiling lies past it: up to 2^20, one n took
 # 1.3-4.4 us at base 2 and 0.5-1.5 us at base 10 (best of 3 in one process and a loaded
 # run, a 2-core x86-64 box, Python 3.11), so a walk to the bound takes 1.4-4.6 s, where
@@ -223,13 +249,18 @@ def g_min(query: "GenBaseQuery") -> int:
     code path independent of the bit-counting machinery it is used to check.
     Exhausting the proven ceiling base^modulus * k raises
     TheoremViolationError; a walk that reaches _G_MIN_BOUND below its
-    ceiling stops there and raises ValueError.
+    ceiling stops there and raises ValueError. The ceiling is compared with
+    the bound by its bit length first, and built only when the walk may
+    reach it: 10^modulus alone takes 0.3-0.9 s at modulus 10^6.
     """
     base, modulus, k = query.base, query.modulus, query.k
     wanted = query.digit_class % modulus
     if math.gcd(base - 1, modulus) != 1:
         raise ValueError("termination needs gcd(base-1, modulus) = 1")
-    limit = _g_ceiling(base, modulus, k)
+    if modulus * (base.bit_length() - 1) + k.bit_length() > _G_MIN_BOUND.bit_length():
+        limit = math.inf  # the ceiling is at least 2^(that sum - 1), past the bound, and is not built
+    else:
+        limit = _g_ceiling(base, modulus, k)
     top = min(limit, _G_MIN_BOUND)
     product = 0
     for n in range(1, top + 1):

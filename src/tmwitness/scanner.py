@@ -1,4 +1,4 @@
-"""Range verification and statistics: per-k records, sparse-family sweeps, exact frequencies, CSV.
+"""Range verification: per-k records of the theorem scan, and CSV.
 
 The theorem scan is a pure map over odd cores whose results are consumed in
 order, so a run with worker processes is byte-identical to the sequential
@@ -21,17 +21,14 @@ from itertools import chain, compress, islice, repeat, starmap
 from operator import ge, gt, sub
 
 from . import oracle
-from .digitcore import TheoremViolationError, _parity_blocks, reduce_to_odd
+from .digitcore import TheoremViolationError
+from .digitcore import FrequencyRecord, frequency  # digitcore's, outside __all__: perfbench/ reads them here
 from .oracle import _check_agreement
 from .witness import CaseLabel, verify
 
 __all__ = [
     "ScanRecord",
-    "WeightFamilyRecord",
-    "FrequencyRecord",
     "scan_theorem",
-    "scan_weight_family",
-    "frequency",
     "emit_csv",
     "THEOREM_HEADER",
 ]
@@ -40,12 +37,6 @@ ScanRecord = namedtuple("ScanRecord", "k f gap case witness witness_weight zero_
 ScanRecord.__doc__ = "Per-k verification row: least witness, its gap over k, case by name, and sorted flags, a tuple."
 
 THEOREM_HEADER = ScanRecord._fields
-
-WeightFamilyRecord = namedtuple("WeightFamilyRecord", "exponent k counterexample")
-WeightFamilyRecord.__doc__ = "Sparse-multiplier sweep result for k = 3 * 2^exponent + 3; counterexample may be None."
-
-FrequencyRecord = namedtuple("FrequencyRecord", "k sample_count ones_frequency")
-FrequencyRecord.__doc__ = "Exact fraction, a Fraction, of multipliers up to sample_count whose product has odd weight."
 
 
 _CASE_NAMES = {case.value: case.name for case in CaseLabel}
@@ -296,64 +287,6 @@ def _checked_blocks(k_min: int, k_max: int, below: Sequence[int], before: int, r
 def scan_theorem(k_min: int, k_max: int, jobs: int = 1) -> list[ScanRecord]:
     """The verified rows of k_min..k_max as ScanRecords, in ascending k: the columns of _blocks, zipped."""
     return list(map(ScanRecord._make, chain.from_iterable(starmap(zip, _blocks(k_min, k_max, jobs)))))
-
-
-def scan_weight_family(exponent_min: int, exponent_max: int, bit_limit: int) -> list[WeightFamilyRecord]:
-    """Check k = 3 * 2^exponent + 3 for multipliers with at most two set bits.
-
-    Every product of such a k with a sparse n below 2^bit_limit is expected
-    to have even weight; a hit is returned as a counterexample in the record,
-    never raised. Once bit_limit is at least k's width, exponent + 2, a None
-    counterexample means that no such n exists at all: past that width,
-    k * (2^d + 1) is two copies of k that do not overlap, of even weight.
-    """
-    if not 4 <= exponent_min <= exponent_max:  # the family starts at exponent 4
-        raise ValueError("need 4 <= exponent_min <= exponent_max")
-    import logging
-
-    log = logging.getLogger(__name__)
-    records = []
-    for exponent in range(exponent_min, exponent_max + 1):
-        k = 3 * 2**exponent + 3
-        hit = oracle.min_weight_witness(k, 2, bit_limit)
-        if hit is not None:
-            log.warning("sparse counterexample for exponent %d: k=%d, n=%d", exponent, k, hit)
-        records.append(WeightFamilyRecord(exponent, k, hit))
-    return records
-
-
-# the largest block, 2^16 lanes: with 2^15, k = 3 at N = 4^15 takes 1.1-1.4x as
-# long and a freq_grid round is not surely faster (0.88-1.13x); with 2^17 the
-# round takes 1.1-1.25x as long (four runs of best of 5 and 7, one process on a
-# 2-core x86-64 box, Python 3.11)
-_BLOCK_LOG = 16
-
-
-def frequency(k: int, sample_count: int) -> FrequencyRecord:
-    """Exact rational frequency of odd product weight over multipliers 1..sample_count.
-
-    The count is bit-sliced. The multipliers n = 0..sample_count go in blocks
-    of 2^L consecutive lanes; digitcore._parity_blocks gives each block as one
-    int whose lane i is set when k*n has odd weight, n = q*2^L + i, so one
-    bit_count counts the block, and the last block is masked to the lanes up
-    to sample_count. Each block costs two big-int operations per bit of k,
-    and the first about as much as four or five blocks, so L is sized from
-    sample_count alone: 2^L is about a quarter of the lanes, at most 2^16,
-    which timed close to the fastest L for every N from 10^3 to 10^6. k's
-    factor of two is dropped first, as s2(2m) = s2(m), and n = 0 has weight 0
-    and adds nothing.
-    """
-    from fractions import Fraction
-
-    odd, _ = reduce_to_odd(k)
-    if sample_count < 1:
-        raise ValueError("need at least one sample")
-    lanes_log = min(_BLOCK_LOG, max(1, sample_count.bit_length() - 2))
-    hits = 0
-    for start, word in zip(range(0, sample_count + 1, 1 << lanes_log), _parity_blocks(odd, lanes_log, 0, 1)):
-        hits += word.bit_count()
-    hits -= (word >> sample_count + 1 - start).bit_count()  # the last block's lanes past sample_count
-    return FrequencyRecord(k, sample_count, Fraction(hits, sample_count))
 
 
 _CSV_ROW = "%d,%d,%d,%s,%d,%d,%d,%s\n"

@@ -17,6 +17,7 @@ from fractions import Fraction
 import pytest
 
 from tmwitness.digitcore import (
+    frequency,
     lower_slice,
     shifted_difference_digit_sum,
     sum_digits,
@@ -25,8 +26,8 @@ from tmwitness.digitcore import (
     upper_slice,
 )
 from tmwitness.genbase import GenBaseQuery, conjecture_scan, corollary_construct, prop_construct
-from tmwitness.oracle import f_exact, g_min
-from tmwitness.scanner import scan_theorem, scan_weight_family, frequency
+from tmwitness.oracle import f_exact, g_min, scan_weight_family
+from tmwitness.scanner import scan_theorem
 from tmwitness.witness import _SHAPELESS, certify, classify, construct_candidates, word_shape
 
 SEED = 20260816

@@ -674,7 +674,10 @@ _ENTRY_POINTS = [
     # which nothing set up to take the scan's INFO records, nor pickle, as results come marshalled
     (_run("scan", "--from", "1", "--to", "5000", "--jobs", "2", "--csv", "{csv}"), _SCAN_MODULES, set(),
      {"fractions", "logging", "pickle", *_POOL}),
-    (_run("freq", "--k", "3", "--samples", "1000"), _SCAN_MODULES, {"fractions"}, _POOL),
+    # frequency lives beside the bit-plane stream it counts, and the weight sweep beside its search
+    (_run("freq", "--k", "3", "--samples", "1000"), {"cli", "digitcore"}, {"fractions"}, _POOL),
+    (_run("weights", "--r-from", "4", "--r-to", "8", "--bit-limit", "16"), {"cli", "digitcore", "oracle"}, set(),
+     _POOL),
 ]
 
 
@@ -766,6 +769,24 @@ def test_a_resolved_name_is_bound_on_the_package():
 def test_every_subcommand_in_a_fresh_process(argv, out):
     done = module_process(*argv.split())
     assert (done.returncode, done.stdout, done.stderr) == (0, out, "")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("genbase --base 10 --mod 1000000 --class 1 --k 3", "the witness would have about 888,889 digits"),
+        ("conjecture --base 10 --mod 1000000 --class 1 --max 3", "the bound would have about 1,000,002 digits"),
+        # the exponent comes from an inverse mod 10^12, not from trying up to 10^12 exponents
+        ("genbase --base 10 --mod 1000000000000 --class 1 --k 3", "the witness would have about 888,888,888,889 digits"),
+    ],
+)
+def test_a_modulus_too_large_to_print_exits_2_with_one_line(argv, message):
+    # the witness 10^888889 - 1 and the bound 10^1000001 pass CPython's 4,300-digit limit on
+    # printing an int, so each is refused before anything is built, let alone walked
+    done = subprocess.run([sys.executable, "-m", "tmwitness", *argv.split()], capture_output=True, text=True,
+                          timeout=20, env=package_env())
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith(f"error: {message}") and done.stderr.count("\n") == 1
 
 
 def test_scan_csv_over_an_existing_file_in_a_fresh_process(tmp_path):

@@ -2,7 +2,6 @@
 
 import random
 from functools import reduce
-from itertools import islice
 from operator import xor
 
 import pytest
@@ -251,14 +250,19 @@ def test_first_block_builds_the_reference_planes_random(k, lanes_log):
     st.integers(min_value=0, max_value=8),
     st.sampled_from([0, 1]) | st.integers(min_value=2, max_value=1 << 70),
     st.sampled_from([0, 1]),
+    st.data(),
 )
-def test_parity_blocks_give_each_lane_of_the_wanted_parity(k, lanes_log, block, parity):
-    # lane i of block q is set when t(k*n) == parity for n = q*2^L + i, one product at a time,
-    # over two blocks in a row; all-ones k and large q give addends whose runs of ones pass the top plane
-    words = islice(_parity_blocks(k, lanes_log, block, parity), 2)
-    for q, word in enumerate(words, block):
-        base = q << lanes_log
-        assert [word >> lane & 1 for lane in range(1 << lanes_log)] == [
-            thue_morse(k * (base + lane)) == parity for lane in range(1 << lanes_log)
+def test_parity_blocks_give_each_lane_of_the_wanted_parity(k, lanes_log, block, parity, data):
+    # lane i of the block at base is set when base + i lies in start..stop and t(k*n) == parity for
+    # n = base + i, one product at a time; start and stop fall anywhere in a range of one to three
+    # blocks from block q. All-ones k and large q give addends whose runs of ones pass the top plane
+    size = 1 << lanes_log
+    start = block * size + data.draw(st.integers(0, size - 1), label="start")
+    stop = data.draw(st.integers(start, (block + 3) * size - 1), label="stop")
+    blocks = list(_parity_blocks(k, lanes_log, start, stop, parity))
+    assert [base for base, _ in blocks] == list(range(start >> lanes_log << lanes_log, stop + 1, size))
+    for base, word in blocks:
+        assert [word >> lane & 1 for lane in range(size)] == [
+            start <= base + lane <= stop and thue_morse(k * (base + lane)) == parity for lane in range(size)
         ]
-        assert word >> (1 << lanes_log) == 0
+        assert word >> size == 0

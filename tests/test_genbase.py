@@ -1,11 +1,17 @@
 """Digit-class constructions in general bases and the conjecture gap scanner."""
 
+import math
+import sys
+
 import pytest
+from hypothesis import given, strategies as st
 
 from tmwitness.digitcore import TheoremViolationError, sum_digits
 from tmwitness.genbase import (
     ConjectureReport,
     GenBaseQuery,
+    _pick_exponent,
+    _scale_exponent,
     conjecture_scan,
     corollary_construct,
     prop_construct,
@@ -75,14 +81,26 @@ def test_exhausted_exponent_window_is_a_violation():
         prop_construct(query)
 
 
+def test_the_exponent_is_the_least_in_its_window():
+    # against the search it replaces: t from _scale_exponent(query) up, one at a time
+    for base in range(2, 12):
+        for modulus in range(1, 13):
+            if math.gcd(base - 1, modulus) != 1:
+                continue
+            for k in (1, 2, 3, 50, 1000):
+                query = GenBaseQuery(base, modulus, 0, k)
+                start = _scale_exponent(query)
+                for target in range(-modulus, 2 * modulus):
+                    least = next(t for t in range(start, start + modulus) if (base - 1) * t % modulus == target % modulus)
+                    assert _pick_exponent(query, target) == least, (base, modulus, k, target)
+
+
 def test_prop_construct_rejects_residue_queries():
     with pytest.raises(ValueError):
         prop_construct(GenBaseQuery(2, 2, 1, 3, residue=0))
 
 
 def test_prop_construct_contract_grid():
-    import math
-
     for base in (2, 3, 5, 10):
         for modulus in range(1, 6):
             if math.gcd(base - 1, modulus) != 1:
@@ -93,6 +111,15 @@ def test_prop_construct_contract_grid():
                     n = prop_construct(query)
                     assert 1 <= n < base**modulus * k
                     assert sum_digits(base, k * n) % modulus == digit_class
+
+
+@given(st.integers(min_value=2, max_value=36), st.integers(min_value=1, max_value=60), st.data())
+def test_prop_witness_product_has_the_digit_sum_of_its_exponent(base, t, data):
+    # for k <= b^t, k * (b^t - 1) = (k - 1) * b^t + (b^t - k): the low t digits are those of k - 1
+    # each taken from b - 1, so the digit sum is t * (b - 1) for every such k, which prop_construct
+    # rests on; a check of sum_digits in every base apart from the construction
+    k = data.draw(st.integers(min_value=1, max_value=base**t), label="k")
+    assert sum_digits(base, k * (base**t - 1)) == t * (base - 1)
 
 
 def test_corollary_construct_examples():
@@ -175,3 +202,20 @@ def test_conjecture_scan_rejects_bad_query():
         conjecture_scan(3, 2, 0, 16)
     with pytest.raises(ValueError):
         conjecture_scan(2, 2, 1, 0)
+
+
+def test_a_witness_or_bound_past_the_print_limit_is_refused(monkeypatch):
+    # with a limit of 10 digits: base 10, mod 20 picks t = 10 for class 10 and t = 11 for class 19,
+    # so 10^10 - 1 prints and 10^11 - 1 would not; the pinned form k * 10 * (10^t - 1) + residue has
+    # t + 1 digits, t = 9 for class 1 and 10 for class 10; the conjecture bound 10^(mod + class) has
+    # mod + class + 1 digits
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 10, raising=False)
+    assert prop_construct(GenBaseQuery(10, 20, 10, 1)) == 10**10 - 1
+    with pytest.raises(ValueError, match="^the witness would have about 11 digits, past the 10-digit limit on printing$"):
+        prop_construct(GenBaseQuery(10, 20, 19, 1))
+    assert corollary_construct(GenBaseQuery(10, 20, 1, 1, residue=0)) == 10**10 - 10
+    with pytest.raises(ValueError, match="about 11 digits"):
+        corollary_construct(GenBaseQuery(10, 20, 10, 1, residue=0))
+    assert conjecture_scan(10, 8, 1, 1).bound == 10**9
+    with pytest.raises(ValueError, match="^the bound would have about 11 digits"):
+        conjecture_scan(10, 8, 2, 1)

@@ -1,6 +1,7 @@
 """Brute-force oracle tests: exact minima, sparse witnesses, digit classes."""
 
 import heapq
+import math
 import random
 from unittest import mock
 
@@ -15,6 +16,7 @@ from tmwitness.oracle import (
     f_exact,
     g_min,
     min_weight_witness,
+    scan_weight_family,
     zero_min,
 )
 
@@ -404,6 +406,17 @@ def test_min_weight_witness_cap_three_on_the_family():
         assert min_weight_witness(k, 3, 10**9) == want
 
 
+def test_weight_family_reports_a_hit_with_one_warning(monkeypatch, caplog):
+    # a planted hit for exponent 5 alone: its record carries it, and one WARNING names that exponent
+    monkeypatch.setattr(oracle, "min_weight_witness", lambda k, cap, bits: 33 if k == 3 * 2**5 + 3 else None)
+    with caplog.at_level("WARNING", logger="tmwitness.oracle"):
+        records = scan_weight_family(4, 6, 32)
+    assert [record.counterexample for record in records] == [None, 33, None]
+    assert [(record.levelname, record.getMessage()) for record in caplog.records] == [
+        ("WARNING", "sparse counterexample for exponent 5: k=99, n=33")
+    ]
+
+
 def test_g_min_frozen():
     assert g_min(GenBaseQuery(2, 2, 1, 3)) == 7
     assert g_min(GenBaseQuery(10, 2, 1, 7)) == 1
@@ -437,6 +450,24 @@ def test_g_min_ceiling_below_the_bound_still_raises_a_violation(monkeypatch):
     monkeypatch.setattr(oracle, "_g_ceiling", lambda base, modulus, k: 2)
     with pytest.raises(TheoremViolationError, match="k=3"):
         g_min(GenBaseQuery(2, 2, 1, 3))
+
+
+def test_g_min_builds_no_ceiling_past_the_bound(monkeypatch):
+    # base^modulus * k is at least 2^(modulus * (w_base - 1) + w_k - 1), so g_min leaves a ceiling
+    # past the bound unbuilt by that size; at modulus 10^6 building it would take about a second
+    built, ceiling = [], oracle._g_ceiling
+    monkeypatch.setattr(oracle, "_G_MIN_BOUND", 1 << 6)
+    monkeypatch.setattr(oracle, "_g_ceiling", lambda *query: built.append(query) or ceiling(*query))
+    queries = [(base, modulus, k) for base in range(2, 12) for modulus in range(1, 9) for k in (1, 2, 3, 7, 64, 100)]
+    for base, modulus, k in [*queries, (10, 10**6, 3)]:
+        if math.gcd(base - 1, modulus) == 1:
+            built.clear()
+            try:
+                g_min(GenBaseQuery(base, modulus, 0, k))
+            except ValueError:  # stopped at the bound
+                pass
+            assert built or base**modulus * k > 1 << 6, (base, modulus, k)
+    assert built == []  # the last query, at modulus 10^6
 
 
 def test_f_exact_violation_when_bound_forced_too_low(monkeypatch):

@@ -16,20 +16,23 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tmwitness import oracle
-from tmwitness.digitcore import TheoremViolationError, shifted_difference_digit_sum, thue_morse
+from tmwitness.digitcore import (
+    FrequencyRecord,
+    TheoremViolationError,
+    frequency,
+    shifted_difference_digit_sum,
+    thue_morse,
+)
+from tmwitness.oracle import WeightFamilyRecord, scan_weight_family
 from tmwitness.scanner import (
     THEOREM_HEADER,
-    FrequencyRecord,
     ScanRecord,
-    WeightFamilyRecord,
     _blocks,
     _column,
     _family_gaps,
     emit_csv,
-    frequency,
     scan_csv,
     scan_theorem,
-    scan_weight_family,
 )
 from tmwitness.witness import certify, verify
 
@@ -461,7 +464,7 @@ def test_weight_family_refuses_a_reversed_range():
 
 
 def test_weight_family_reports_planted_counterexample(monkeypatch):
-    monkeypatch.setattr("tmwitness.scanner.oracle.min_weight_witness", lambda k, cap, bits: 33)
+    monkeypatch.setattr("tmwitness.oracle.min_weight_witness", lambda k, cap, bits: 33)
     records = scan_weight_family(4, 5, 32)
     assert [record.counterexample for record in records] == [33, 33]
 

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tmwitness.cli import parse_certificate, run, serialize_certificate
-from tmwitness.digitcore import TheoremViolationError, run_decompose, thue_morse, to_word
+from tmwitness.digitcore import TheoremViolationError, frequency, run_decompose, thue_morse, to_word
 from tmwitness.genbase import GenBaseQuery, conjecture_scan
-from tmwitness.scanner import frequency, scan_theorem, scan_weight_family
+from tmwitness.oracle import scan_weight_family
+from tmwitness.scanner import scan_theorem
 from tmwitness.witness import (
     _ARMS,
     _DISPLAYS,
